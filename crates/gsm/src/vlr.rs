@@ -126,9 +126,17 @@ impl Vlr {
         }
     }
 
-    fn alloc_tmsi(&mut self, imsi: Imsi) -> Tmsi {
+    /// Mints the next TMSI. The high byte is this VLR's node index, so
+    /// no two VLRs of one network hand out the same TMSI: a handset that
+    /// presents another VLR's TMSI is unknown here and re-registers with
+    /// its IMSI, instead of resolving to the local subscriber that
+    /// happens to hold the same number.
+    fn alloc_tmsi(&mut self, vlr: NodeId, imsi: Imsi) -> Tmsi {
+        let space = u8::try_from(vlr.index())
+            .expect("a VLR is among the first 256 nodes of its network");
         self.next_tmsi += 1;
-        let tmsi = Tmsi(0xA000_0000 | self.next_tmsi);
+        assert!(self.next_tmsi < 1 << 24, "VLR exhausted its 24-bit TMSI space");
+        let tmsi = Tmsi((u32::from(space) << 24) | self.next_tmsi);
         if let Some(rec) = self.records.get_mut(&imsi) {
             if let Some(old) = rec.tmsi.replace(tmsi) {
                 self.tmsi_index.remove(&old);
@@ -397,7 +405,7 @@ impl Vlr {
                         if let Some(rec) = self.records.get_mut(&imsi) {
                             rec.lai = Some(lai);
                         }
-                        let tmsi = self.alloc_tmsi(imsi);
+                        let tmsi = self.alloc_tmsi(ctx.id(), imsi);
                         let msisdn = self
                             .records
                             .get(&imsi)
@@ -871,7 +879,7 @@ mod tests {
         {
             let v = net.node_mut::<Vlr>(vlr).unwrap();
             v.records.entry(imsi()).or_default();
-            let t = v.alloc_tmsi(imsi());
+            let t = v.alloc_tmsi(vlr, imsi());
             assert!(v.tmsi_index.contains_key(&t));
         }
         let f = net.add_node(

@@ -42,18 +42,7 @@ fn build() -> TwoAreas {
 
     let imsi = Imsi::parse("466920000000001").unwrap();
     let msisdn = Msisdn::parse("886912000001").unwrap();
-    let ms = zone1.add_subscriber(&mut net, "ms1", imsi, 0xABCD, msisdn);
-    // The MS can also camp on zone 2's cell.
-    net.connect(ms, zone2.bts, Interface::Um, SimDuration::from_millis(5));
-    net.node_mut::<vgprs_gsm::Bts>(zone2.bts)
-        .unwrap()
-        .register_ms(ms);
-    net.node_mut::<MobileStation>(ms)
-        .unwrap()
-        .add_neighbor(CellId(2), zone2.bts);
-
-    net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
-    net.run_until_quiescent();
+    let ms = add_mover(&mut net, &zone1, &zone2, "ms1", imsi, 0xABCD, msisdn);
     TwoAreas {
         net,
         zone1,
@@ -62,6 +51,70 @@ fn build() -> TwoAreas {
         imsi,
         msisdn,
     }
+}
+
+/// Provisions a zone-1 subscriber whose handset can camp on either
+/// zone's cell, and powers it on.
+fn add_mover(
+    net: &mut Network<Message>,
+    zone1: &VgprsZone,
+    zone2: &VgprsZone,
+    label: &str,
+    imsi: Imsi,
+    ki: u64,
+    msisdn: Msisdn,
+) -> vgprs_sim::NodeId {
+    let ms = zone1.add_subscriber(net, label, imsi, ki, msisdn);
+    net.connect(ms, zone2.bts, Interface::Um, SimDuration::from_millis(5));
+    net.node_mut::<vgprs_gsm::Bts>(zone2.bts)
+        .unwrap()
+        .register_ms(ms);
+    let m = net.node_mut::<MobileStation>(ms).unwrap();
+    m.add_neighbor(CellId(2), zone2.bts);
+    m.add_neighbor(zone1.cell, zone1.bts);
+    net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
+    net.run_until_quiescent();
+    ms
+}
+
+fn move_to(w: &mut TwoAreas, ms: vgprs_sim::NodeId, cell: CellId) {
+    w.net
+        .inject(SimDuration::ZERO, ms, Message::Cmd(Command::MoveToCell { cell }));
+    w.net.run_until_quiescent();
+}
+
+/// Each VLR mints TMSIs from its own range. A second subscriber
+/// registers at home, visits zone 2 (whose VLR mints its first TMSI for
+/// it) and comes back: the TMSI it presents at home must not resolve to
+/// the first subscriber, who holds home's first TMSI.
+#[test]
+fn returning_visitor_is_never_authenticated_as_another_subscriber() {
+    let mut w = build();
+    let imsi2 = Imsi::parse("466920000000002").unwrap();
+    let msisdn2 = Msisdn::parse("886912000002").unwrap();
+    let (zone1, zone2) = (w.zone1.clone(), w.zone2.clone());
+    let ms2 = add_mover(&mut w.net, &zone1, &zone2, "ms2", imsi2, 0x1234, msisdn2);
+    move_to(&mut w, ms2, CellId(2));
+    assert_eq!(
+        w.net.node::<Hlr>(w.zone1.hlr).unwrap().serving_vlr(&imsi2),
+        Some(w.zone2.vlr)
+    );
+    move_to(&mut w, ms2, CellId(1));
+
+    assert_eq!(w.net.stats().counter("vlr.auth_failures"), 0);
+    assert_eq!(w.net.stats().counter("vlr.registration_rejected"), 0);
+    assert_eq!(
+        w.net.node::<MobileStation>(ms2).unwrap().state(),
+        MsState::Idle
+    );
+    let hlr = w.net.node::<Hlr>(w.zone1.hlr).unwrap();
+    assert_eq!(hlr.serving_vlr(&imsi2), Some(w.zone1.vlr));
+    assert_eq!(hlr.serving_vlr(&w.imsi), Some(w.zone1.vlr));
+    assert_eq!(
+        w.net.node::<Vlr>(w.zone1.vlr).unwrap().visitor_count(),
+        2,
+        "both subscribers are registered at home"
+    );
 }
 
 #[test]
