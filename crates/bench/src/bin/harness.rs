@@ -119,6 +119,10 @@ fn load_cmd(rest: &[String]) {
     let report = run_load(&cfg);
     print!("{}", report.render());
     println!("fingerprint           : {:016x}", report.fingerprint());
+    println!(
+        "behaviour fingerprint : {:016x}",
+        report.behaviour_fingerprint()
+    );
     if cfg.snapshot_secs > 0 {
         println!(
             "snapshot fingerprint  : {:016x} ({} frames @ {} s)",

@@ -444,9 +444,16 @@ impl Node<Message> for MobileStation {
             (Interface::Um, Message::Um(dtap)) => {
                 // After a handoff the old cell may still flush messages
                 // (e.g. the anchor's channel release); a real MS has left
-                // that channel and never hears them.
+                // that channel and never hears them. Nor does it listen to
+                // the paging channel of a cell it no longer camps on; those
+                // pages are counted apart, so the stale-cell count stays a
+                // count of dedicated-channel losses.
                 if from != self.serving_bts {
-                    ctx.count("ms.ignored_stale_cell");
+                    ctx.count(if matches!(dtap, Dtap::Paging { .. }) {
+                        "ms.ignored_stale_page"
+                    } else {
+                        "ms.ignored_stale_cell"
+                    });
                     return;
                 }
                 self.handle_dtap(ctx, dtap)
@@ -753,6 +760,33 @@ mod tests {
             MsState::Active
         );
         assert_eq!(net.stats().counter("ms.ignored_stale_cell"), 1);
+    }
+
+    #[test]
+    fn stale_cell_page_counted_apart() {
+        let imsi = Imsi::parse("466920123456789").unwrap();
+        let (mut net, ms, _bts) = rig(vec![]);
+        let stale = net.add_node(
+            "stale",
+            ScriptedBts {
+                ms: Some(ms),
+                feed: vec![Message::Um(Dtap::Paging {
+                    identity: MsIdentity::Imsi(imsi),
+                })],
+                got: Vec::new(),
+            },
+        );
+        net.connect(ms, stale, Interface::Um, SimDuration::from_millis(1));
+        net.node_mut::<MobileStation>(ms).unwrap().state = MsState::Idle;
+        net.run_until_quiescent();
+        // a page on a cell the MS left is not answered, and is not a
+        // dedicated-channel loss
+        assert_eq!(
+            net.node::<MobileStation>(ms).unwrap().state(),
+            MsState::Idle
+        );
+        assert_eq!(net.stats().counter("ms.ignored_stale_page"), 1);
+        assert_eq!(net.stats().counter("ms.ignored_stale_cell"), 0);
     }
 
     #[test]

@@ -15,6 +15,11 @@ use vgprs_sim::{Histogram, Stats};
 use crate::shard::ShardReport;
 use crate::snapshot::SnapshotFrame;
 
+/// Counters that measure simulator work rather than network behaviour:
+/// message deliveries, and pages delivered to a handset on a cell it no
+/// longer camps on (which it ignores).
+const WORK_COUNTERS: [&str; 2] = ["sim.delivered", "ms.ignored_stale_page"];
+
 /// Jitter-buffer playout depth added to the measured network delay when
 /// scoring MOS (same constant the C1 experiment uses).
 const PLAYOUT_MS: f64 = 60.0;
@@ -166,8 +171,10 @@ impl LoadReport {
         self.merged_histogram(&["load.handoff_interruption_ms"])
     }
 
-    /// Downlink frames that chased the subscriber to a cell it had
-    /// already left (mid-handoff loss, discarded by the handset).
+    /// Dedicated-channel downlink messages that chased the subscriber to
+    /// a cell it had already left (mid-handoff loss, discarded by the
+    /// handset). Pages heard on such a cell are not losses and count
+    /// apart, as `ms.ignored_stale_page`.
     pub fn handoff_frame_loss(&self) -> u64 {
         self.counter("ms.ignored_stale_cell")
     }
@@ -418,6 +425,17 @@ impl LoadReport {
     /// master seed must render identical text here regardless of
     /// thread count.
     pub fn render_deterministic(&self) -> String {
+        let mut out = self.render_behaviour();
+        out.push_str(&format!(
+            "events                : {} over {:.1} simulated s\n",
+            self.events, self.sim_secs
+        ));
+        out
+    }
+
+    /// The KPI lines of [`render_deterministic`](Self::render_deterministic)
+    /// without the closing `events` work line.
+    fn render_behaviour(&self) -> String {
         let mut out = String::new();
         let mut line = |s: String| {
             out.push_str(&s);
@@ -595,10 +613,6 @@ impl LoadReport {
             self.attempts_peak(),
             self.steady_drop_rate() * 100.0,
             self.attempts_steady()
-        ));
-        line(format!(
-            "events                : {} over {:.1} simulated s",
-            self.events, self.sim_secs
         ));
         out
     }
@@ -983,6 +997,22 @@ impl LoadReport {
     /// counter and histogram bucket — the value two runs must share to
     /// be considered identical.
     pub fn fingerprint(&self) -> u64 {
+        self.hash(&self.render_deterministic(), |_| true)
+    }
+
+    /// The [`fingerprint`](Self::fingerprint) of what the simulated
+    /// network did, leaving out the work the simulator spent doing it:
+    /// the `events` line and the `sim.delivered` and
+    /// `ms.ignored_stale_page` counters. A change that only
+    /// removes events nobody acts on (an optimisation) must leave this
+    /// value unchanged.
+    pub fn behaviour_fingerprint(&self) -> u64 {
+        self.hash(&self.render_behaviour(), |name| {
+            !WORK_COUNTERS.contains(&name)
+        })
+    }
+
+    fn hash(&self, text: &str, keep_counter: impl Fn(&str) -> bool) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |bytes: &[u8]| {
             for &b in bytes {
@@ -990,9 +1020,12 @@ impl LoadReport {
                 h = h.wrapping_mul(0x100_0000_01b3);
             }
         };
-        eat(self.render_deterministic().as_bytes());
+        eat(text.as_bytes());
         // Counters and histograms iterate in sorted (BTreeMap) order.
         for (name, value) in self.stats.counters() {
+            if !keep_counter(name) {
+                continue;
+            }
             eat(name.as_bytes());
             eat(&value.to_le_bytes());
         }

@@ -666,3 +666,34 @@ fn snapshot_cadence_does_not_perturb_the_run() {
     assert_eq!(off.fingerprint(), on.fingerprint());
     assert_eq!(off.render_deterministic(), on.render_deterministic());
 }
+
+// ---- behaviour oracle ----
+
+/// The behaviour fingerprints of a fault-free, a surged (controls on),
+/// a node-chaos and a trunk-chaos cell, recorded on the broadcast-paging
+/// BTS, which delivered every page to every handset camped on the cell.
+/// A change that only removes simulator work (events nobody acts on)
+/// must leave every pin unchanged. A change that moves behaviour
+/// re-records the pins and says why.
+#[test]
+fn behaviour_fingerprints_are_pinned() {
+    let cells = [
+        ("fault-free", small_cfg(1), 0x4b4e_98f6_de50_b105_u64),
+        ("surge", surge_cfg(1), 0xf5a4_e00f_0e03_5d76),
+        ("node chaos", chaos_cfg(1), 0xf170_72eb_11ad_d14b),
+        ("trunk chaos", trunk_cfg(1), 0xf680_1fdf_72c0_30d9),
+    ];
+    let drift: Vec<String> = cells
+        .iter()
+        .filter_map(|(name, cfg, pin)| {
+            let report = run_load(cfg);
+            assert!(
+                report.stats.counter("bts.pages_broadcast") > 0,
+                "{name}: no pages, so the pin says nothing about paging"
+            );
+            let got = report.behaviour_fingerprint();
+            (got != *pin).then(|| format!("{name}: pinned {pin:016x}, got {got:016x}"))
+        })
+        .collect();
+    assert!(drift.is_empty(), "behaviour moved:\n  {}", drift.join("\n  "));
+}
