@@ -382,7 +382,7 @@ pub fn intersystem_handoff(seed: u64) -> HandoffReport {
     net.connect(ms, neighbor.bts, Interface::Um, lat.um);
     net.node_mut::<vgprs_gsm::Bts>(neighbor.bts)
         .expect("neighbor bts")
-        .register_ms(ms);
+        .register_ms(ms, ms_imsi);
     net.node_mut::<MobileStation>(ms)
         .expect("ms")
         .add_neighbor(CellId(2), neighbor.bts);
@@ -448,10 +448,11 @@ pub fn intervmsc_handoff(seed: u64) -> HandoffReport {
         .expect("vmsc1")
         .add_neighbor_cell(CellId(2), zone2.vmsc);
 
+    let ms_imsi = Imsi::parse("466920000000001").expect("valid");
     let ms = zone1.add_subscriber(
         &mut net,
         "ms1",
-        Imsi::parse("466920000000001").expect("valid"),
+        ms_imsi,
         0xABCD,
         Msisdn::parse("886912000001").expect("valid"),
     );
@@ -460,7 +461,7 @@ pub fn intervmsc_handoff(seed: u64) -> HandoffReport {
     net.connect(ms, zone2.bts, Interface::Um, lat.um);
     net.node_mut::<vgprs_gsm::Bts>(zone2.bts)
         .expect("bts2")
-        .register_ms(ms);
+        .register_ms(ms, ms_imsi);
     net.node_mut::<MobileStation>(ms)
         .expect("ms")
         .add_neighbor(CellId(2), zone2.bts);
@@ -522,10 +523,11 @@ pub fn intersystem_handoff_windowed(seed: u64) -> crate::experiments::C5Report {
     net.node_mut::<Vmsc>(zone.vmsc)
         .expect("vmsc")
         .add_neighbor_cell(CellId(2), neighbor.msc);
+    let ms_imsi = Imsi::parse("466920000000001").expect("valid");
     let ms = zone.add_subscriber(
         &mut net,
         "ms1",
-        Imsi::parse("466920000000001").expect("valid"),
+        ms_imsi,
         0xABCD,
         Msisdn::parse("886912000001").expect("valid"),
     );
@@ -534,7 +536,7 @@ pub fn intersystem_handoff_windowed(seed: u64) -> crate::experiments::C5Report {
     net.connect(ms, neighbor.bts, Interface::Um, lat.um);
     net.node_mut::<vgprs_gsm::Bts>(neighbor.bts)
         .expect("bts")
-        .register_ms(ms);
+        .register_ms(ms, ms_imsi);
     net.node_mut::<MobileStation>(ms)
         .expect("ms")
         .add_neighbor(CellId(2), neighbor.bts);

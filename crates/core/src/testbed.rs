@@ -329,7 +329,7 @@ impl VgprsZone {
         net.connect(ms, self.bts, Interface::Um, self.latency.um);
         net.node_mut::<Bts>(self.bts)
             .expect("zone BTS")
-            .register_ms(ms);
+            .register_ms(ms, imsi);
         ms
     }
 
@@ -557,7 +557,7 @@ impl GsmZone {
         net.connect(ms, self.bts, Interface::Um, self.latency.um);
         net.node_mut::<Bts>(self.bts)
             .expect("zone BTS")
-            .register_ms(ms);
+            .register_ms(ms, imsi);
         ms
     }
 }

@@ -596,7 +596,7 @@ impl Vmsc {
         for &bsc in &self.bscs.clone() {
             ctx.send(
                 bsc,
-                Message::a(ConnRef::CONNECTIONLESS, Dtap::Paging { identity }),
+                Message::a(ConnRef::CONNECTIONLESS, Dtap::Paging { imsi, identity }),
             );
         }
     }

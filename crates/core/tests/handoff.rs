@@ -43,10 +43,11 @@ fn two_zone_rig() -> Rig {
         .expect("vmsc1")
         .add_neighbor_cell(CellId(2), zone2.vmsc);
 
+    let imsi = Imsi::parse("466920000000001").expect("valid");
     let ms = zone1.add_subscriber(
         &mut net,
         "ms1",
-        Imsi::parse("466920000000001").expect("valid"),
+        imsi,
         0xABCD,
         Msisdn::parse("886912000001").expect("valid"),
     );
@@ -56,7 +57,9 @@ fn two_zone_rig() -> Rig {
         Msisdn::parse("886220001111").expect("valid"),
     );
     net.connect(ms, zone2.bts, Interface::Um, lat.um);
-    net.node_mut::<Bts>(zone2.bts).expect("bts2").register_ms(ms);
+    net.node_mut::<Bts>(zone2.bts)
+        .expect("bts2")
+        .register_ms(ms, imsi);
     net.node_mut::<MobileStation>(ms)
         .expect("ms")
         .add_neighbor(CellId(2), zone2.bts);

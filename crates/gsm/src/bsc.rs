@@ -339,6 +339,7 @@ mod tests {
                 to_send: vec![Message::a(
                     ConnRef::CONNECTIONLESS,
                     Dtap::Paging {
+                        imsi: Imsi::parse("466920123456789").unwrap(),
                         identity: MsIdentity::Tmsi(Tmsi(1)),
                     },
                 )],

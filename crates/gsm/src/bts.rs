@@ -54,8 +54,9 @@ impl Default for BtsConfig {
 pub struct Bts {
     config: BtsConfig,
     bsc: NodeId,
-    /// Every MS camped on this cell (registered by the testbed builder).
-    mss: Vec<NodeId>,
+    /// The handsets camped on this cell, by subscriber (registered by
+    /// the testbed builder).
+    camped: HashMap<Imsi, Vec<NodeId>>,
     conn_to_ms: HashMap<ConnRef, NodeId>,
     ms_to_conn: HashMap<NodeId, ConnRef>,
     /// MSs known to use the packet service, keyed by IMSI (learned from
@@ -77,7 +78,7 @@ impl Bts {
         Bts {
             config,
             bsc,
-            mss: Vec::new(),
+            camped: HashMap::new(),
             conn_to_ms: HashMap::new(),
             ms_to_conn: HashMap::new(),
             packet_ms: HashMap::new(),
@@ -94,11 +95,13 @@ impl Bts {
         self.config.cell
     }
 
-    /// Registers an MS as camped on this cell. The testbed builder calls
-    /// this when it provisions the Um link.
-    pub fn register_ms(&mut self, ms: NodeId) {
-        if !self.mss.contains(&ms) {
-            self.mss.push(ms);
+    /// Registers the handset `ms` of subscriber `imsi` as camped on this
+    /// cell. The testbed builder calls this when it provisions the Um
+    /// link. Registering the same handset again changes nothing.
+    pub fn register_ms(&mut self, ms: NodeId, imsi: Imsi) {
+        let handsets = self.camped.entry(imsi).or_default();
+        if !handsets.contains(&ms) {
+            handsets.push(ms);
         }
     }
 
@@ -221,17 +224,24 @@ impl Node<Message> for Bts {
             }
 
             // ---- downlink: from the BSC over Abis ----
-            (Interface::Abis, Message::Abis { conn, dtap }) => {
-                if conn.is_connectionless() {
-                    // Paging broadcast: every camped MS hears the PCH, and
-                    // the block is charged against the common-channel budget.
-                    self.note_page(ctx.now().as_millis());
-                    for ms in self.mss.clone() {
-                        ctx.send(ms, Message::Um(dtap.clone()));
-                    }
-                    ctx.count("bts.pages_broadcast");
-                    return;
+            (
+                Interface::Abis,
+                Message::Abis {
+                    dtap: Dtap::Paging { imsi, identity },
+                    ..
+                },
+            ) => {
+                // The paging block goes out on the PCH and is charged
+                // against the common-channel budget whoever camps here.
+                // Only the paged subscriber's handsets can match its
+                // identity, so only they are handed the block.
+                self.note_page(ctx.now().as_millis());
+                for &ms in self.camped.get(&imsi).into_iter().flatten() {
+                    ctx.send(ms, Message::Um(Dtap::PagingRequest { identity }));
                 }
+                ctx.count("bts.pages_broadcast");
+            }
+            (Interface::Abis, Message::Abis { conn, dtap }) => {
                 let Some(&ms) = self.conn_to_ms.get(&conn) else {
                     ctx.count("bts.downlink_unknown_conn");
                     return;
@@ -343,7 +353,9 @@ mod tests {
         );
         net.connect(ms, bts, Interface::Um, SimDuration::from_millis(1));
         net.connect(bts, bsc, Interface::Abis, SimDuration::from_millis(1));
-        net.node_mut::<Bts>(bts).unwrap().register_ms(ms);
+        net.node_mut::<Bts>(bts)
+            .unwrap()
+            .register_ms(ms, Imsi::parse("466920123456789").unwrap());
         (net, bts, bsc, ms)
     }
 
@@ -385,74 +397,112 @@ mod tests {
         assert_eq!(net.stats().counter("bts.uplink_without_conn"), 1);
     }
 
-    #[test]
-    fn paging_broadcast_reaches_all_camped_ms() {
+    fn imsi(n: u32) -> Imsi {
+        Imsi::parse(&format!("4669200000{n:05}")).unwrap()
+    }
+
+    fn page(imsi: Imsi) -> Message {
+        Message::Abis {
+            conn: ConnRef::CONNECTIONLESS,
+            dtap: Dtap::Paging {
+                imsi,
+                identity: MsIdentity::Tmsi(Tmsi(7)),
+            },
+        }
+    }
+
+    /// A BTS with one probe handset camped per entry of `camped`, and a
+    /// pager behind the Abis link that sends `pages` once the run starts.
+    fn paging_rig(camped: &[Imsi], pages: Vec<Message>) -> (Network<Message>, NodeId, Vec<NodeId>) {
         let mut net = Network::new(1);
         let bsc = net.add_node("bsc", Probe::new());
         let bts = net.add_node("bts", Bts::new(BtsConfig::default(), bsc));
-        let ms1 = net.add_node("ms1", Probe::new());
-        let ms2 = net.add_node("ms2", Probe::new());
-        net.connect(ms1, bts, Interface::Um, SimDuration::from_millis(1));
-        net.connect(ms2, bts, Interface::Um, SimDuration::from_millis(1));
-        net.connect(bts, bsc, Interface::Abis, SimDuration::from_millis(1));
-        {
-            let b = net.node_mut::<Bts>(bts).unwrap();
-            b.register_ms(ms1);
-            b.register_ms(ms2);
-        }
-        let imsi = Imsi::parse("466920123456789").unwrap();
-        net.inject(
-            SimDuration::ZERO,
-            bts,
-            Message::Abis {
-                conn: ConnRef::CONNECTIONLESS,
-                dtap: Dtap::Paging {
-                    identity: MsIdentity::Imsi(imsi),
-                },
-            },
-        );
-        // injected messages arrive on Interface::Internal; emulate Abis by a
-        // sender behind the Abis link instead
-        net.run_until_quiescent();
-        // Internal-iface message is not an Abis message: BTS counts it odd.
-        assert_eq!(net.stats().counter("bts.unexpected_message"), 1);
-
-        // Now deliver properly via a sender on the Abis side.
-        let mut net = Network::new(1);
-        let sender_slot = net.add_node("bsc", Probe::new()); // placeholder BSC target
-        let bts = net.add_node("bts", Bts::new(BtsConfig::default(), sender_slot));
-        let ms1 = net.add_node("ms1", Probe::new());
-        let ms2 = net.add_node("ms2", Probe::new());
+        let handsets = camped
+            .iter()
+            .map(|&imsi| {
+                let ms = net.add_node("ms", Probe::new());
+                net.connect(ms, bts, Interface::Um, SimDuration::from_millis(1));
+                net.node_mut::<Bts>(bts).unwrap().register_ms(ms, imsi);
+                ms
+            })
+            .collect();
         let pager = net.add_node(
             "pager",
             Sender {
                 peer: bts,
-                to_send: vec![Message::Abis {
-                    conn: ConnRef::CONNECTIONLESS,
-                    dtap: Dtap::Paging {
-                        identity: MsIdentity::Imsi(imsi),
-                    },
-                }],
+                to_send: pages,
             },
         );
-        net.connect(ms1, bts, Interface::Um, SimDuration::from_millis(1));
-        net.connect(ms2, bts, Interface::Um, SimDuration::from_millis(1));
         net.connect(pager, bts, Interface::Abis, SimDuration::from_millis(1));
-        {
-            let b = net.node_mut::<Bts>(bts).unwrap();
-            b.register_ms(ms1);
-            b.register_ms(ms2);
-        }
+        (net, bts, handsets)
+    }
+
+    #[test]
+    fn page_reaches_only_the_paged_subscribers_handsets() {
+        let (a, b) = (imsi(1), imsi(2));
+        // two handsets of subscriber a, one of subscriber b
+        let (mut net, _bts, handsets) = paging_rig(&[a, b, a], vec![page(a)]);
         net.run_until_quiescent();
-        for ms in [ms1, ms2] {
-            let got = &net.node::<Probe>(ms).unwrap().got;
-            assert_eq!(got.len(), 1, "each camped MS hears the page");
-            assert!(matches!(
-                got[0].1,
-                Message::Um(Dtap::Paging { .. })
-            ));
+        let heard = |ms: NodeId| net.node::<Probe>(ms).unwrap().got.clone();
+        for ms in [handsets[0], handsets[2]] {
+            // the air carries the broadcast identity, never the IMSI
+            assert_eq!(
+                heard(ms),
+                vec![(
+                    Interface::Um,
+                    Message::Um(Dtap::PagingRequest {
+                        identity: MsIdentity::Tmsi(Tmsi(7)),
+                    })
+                )]
+            );
         }
+        assert!(heard(handsets[1]).is_empty());
         assert_eq!(net.stats().counter("bts.pages_broadcast"), 1);
+    }
+
+    #[test]
+    fn page_for_an_uncamped_subscriber_still_uses_the_pch() {
+        // Nine pages inside one second for a subscriber camped elsewhere:
+        // nobody here hears them, yet each takes a paging block, and nine
+        // exceed the cell's budget of eight.
+        let (mut net, bts, handsets) = paging_rig(&[imsi(1)], vec![page(imsi(2)); 9]);
+        net.run_until_quiescent();
+        assert!(net.node::<Probe>(handsets[0]).unwrap().got.is_empty());
+        assert_eq!(net.stats().counter("bts.pages_broadcast"), 9);
+        let talker = net.add_node(
+            "talker",
+            Sender {
+                peer: bts,
+                to_send: vec![Message::Um(Dtap::VoiceFrame {
+                    call: CallId(9),
+                    seq: 0,
+                    origin_us: 0,
+                })],
+            },
+        );
+        net.connect(talker, bts, Interface::Um, SimDuration::from_millis(1));
+        net.run_until_quiescent();
+        assert_eq!(net.stats().counter("bts.pdch_voice_clipped"), 1);
+        assert!(net.now() < vgprs_sim::SimTime::from_micros(1_000_000));
+    }
+
+    #[test]
+    fn register_ms_is_idempotent() {
+        let a = imsi(1);
+        let (mut net, bts, handsets) = paging_rig(&[a], vec![page(a)]);
+        net.node_mut::<Bts>(bts).unwrap().register_ms(handsets[0], a);
+        net.run_until_quiescent();
+        assert_eq!(net.node::<Probe>(handsets[0]).unwrap().got.len(), 1);
+    }
+
+    #[test]
+    fn page_injected_off_abis_is_unexpected() {
+        let (mut net, bts, handsets) = paging_rig(&[imsi(1)], vec![]);
+        // injected messages arrive on Interface::Internal, not Abis
+        net.inject(SimDuration::ZERO, bts, page(imsi(1)));
+        net.run_until_quiescent();
+        assert_eq!(net.stats().counter("bts.unexpected_message"), 1);
+        assert!(net.node::<Probe>(handsets[0]).unwrap().got.is_empty());
     }
 
     #[test]
@@ -537,6 +587,7 @@ mod tests {
         let page = Message::Abis {
             conn: ConnRef::CONNECTIONLESS,
             dtap: Dtap::Paging {
+                imsi,
                 identity: MsIdentity::Imsi(imsi),
             },
         };

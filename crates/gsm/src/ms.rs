@@ -364,7 +364,7 @@ impl MobileStation {
                     self.enter_active(ctx);
                 }
             }
-            Dtap::Paging { identity } => {
+            Dtap::PagingRequest { identity } => {
                 let mine = match identity {
                     MsIdentity::Imsi(i) => i == self.config.imsi,
                     MsIdentity::Tmsi(t) => Some(t) == self.tmsi,
@@ -426,6 +426,7 @@ impl MobileStation {
             | Dtap::HandoverRequired { .. }
             | Dtap::HandoverComplete { .. }
             | Dtap::Setup { .. }
+            | Dtap::Paging { .. }
             | Dtap::PagingResponse { .. } => ctx.count("ms.unhandled_dtap"),
         }
     }
@@ -449,7 +450,7 @@ impl Node<Message> for MobileStation {
                 // pages are counted apart, so the stale-cell count stays a
                 // count of dedicated-channel losses.
                 if from != self.serving_bts {
-                    ctx.count(if matches!(dtap, Dtap::Paging { .. }) {
+                    ctx.count(if matches!(dtap, Dtap::PagingRequest { .. }) {
                         "ms.ignored_stale_page"
                     } else {
                         "ms.ignored_stale_cell"
@@ -646,7 +647,7 @@ mod tests {
     fn mt_call_pages_rings_and_answers() {
         let imsi = Imsi::parse("466920123456789").unwrap();
         let (mut net, ms, bts) = rig(vec![
-            Message::Um(Dtap::Paging {
+            Message::Um(Dtap::PagingRequest {
                 identity: MsIdentity::Imsi(imsi),
             }),
             Message::Um(Dtap::MtSetup {
@@ -669,7 +670,7 @@ mod tests {
     #[test]
     fn paging_for_someone_else_ignored() {
         let other = Imsi::parse("466920999999999").unwrap();
-        let (mut net, ms, bts) = rig(vec![Message::Um(Dtap::Paging {
+        let (mut net, ms, bts) = rig(vec![Message::Um(Dtap::PagingRequest {
             identity: MsIdentity::Imsi(other),
         })]);
         net.node_mut::<MobileStation>(ms).unwrap().state = MsState::Idle;
@@ -770,7 +771,7 @@ mod tests {
             "stale",
             ScriptedBts {
                 ms: Some(ms),
-                feed: vec![Message::Um(Dtap::Paging {
+                feed: vec![Message::Um(Dtap::PagingRequest {
                     identity: MsIdentity::Imsi(imsi),
                 })],
                 got: Vec::new(),

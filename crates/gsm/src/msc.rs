@@ -203,11 +203,17 @@ impl GsmMsc {
         }
     }
 
-    fn page_all(&self, ctx: &mut Context<'_, Message>, identity: MsIdentity) {
+    fn page_all(&self, ctx: &mut Context<'_, Message>, imsi: Imsi) {
         for &bsc in &self.bscs {
             ctx.send(
                 bsc,
-                Message::a(ConnRef::CONNECTIONLESS, Dtap::Paging { identity }),
+                Message::a(
+                    ConnRef::CONNECTIONLESS,
+                    Dtap::Paging {
+                        imsi,
+                        identity: MsIdentity::Imsi(imsi),
+                    },
+                ),
             );
         }
     }
@@ -776,7 +782,7 @@ impl GsmMsc {
                         self.paging.insert(imsi, call);
                         ctx.count("msc.pages_sent");
                         ctx.set_timer(PAGING_TIMEOUT, TAG_PAGING | call.0);
-                        self.page_all(ctx, MsIdentity::Imsi(imsi));
+                        self.page_all(ctx, imsi);
                     }
                     Err(cause) => {
                         self.clear_trunks(ctx, call, cause);

@@ -421,10 +421,11 @@ impl Shard {
             let g = plan.global_index;
             let msisdn = msisdn_for(g);
             let alias = alias_for(g);
+            let imsi = imsi_for(g);
             let ms = home.add_subscriber(
                 &mut net,
                 &format!("ms{g}"),
-                imsi_for(g),
+                imsi,
                 0x5000 + g as u64,
                 msisdn,
             );
@@ -458,7 +459,7 @@ impl Shard {
                 net.connect(ms, neighbor.bts, Interface::Um, home.latency.um);
                 net.node_mut::<Bts>(neighbor.bts)
                     .expect("neighbor BTS")
-                    .register_ms(ms);
+                    .register_ms(ms, imsi);
                 let m = net.node_mut::<MobileStation>(ms).expect("new MS");
                 m.add_neighbor(neighbor.cell, neighbor.bts);
                 m.add_neighbor(home.cell, home.bts);

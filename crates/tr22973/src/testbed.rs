@@ -170,7 +170,7 @@ impl TrZone {
         net.connect(ms, self.bts, Interface::Um, self.latency.um);
         net.node_mut::<Bts>(self.bts)
             .expect("zone BTS")
-            .register_ms(ms);
+            .register_ms(ms, imsi);
         ms
     }
 

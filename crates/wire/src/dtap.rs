@@ -8,7 +8,7 @@
 
 
 use crate::cause::Cause;
-use crate::ids::{CallId, CellId, Lai, MsIdentity, Msisdn, Tmsi};
+use crate::ids::{CallId, CellId, Imsi, Lai, MsIdentity, Msisdn, Tmsi};
 
 /// GSM 04.08 direct-transfer signaling content.
 #[derive(Clone, Debug, PartialEq)]
@@ -127,8 +127,20 @@ pub enum Dtap {
         /// Call correlation id.
         call: CallId,
     },
-    /// Network pages the MS for an incoming call (paper step 4.4).
+    /// Network pages the MS for an incoming call (paper step 4.4): the
+    /// MSC's BSSMAP PAGING on A and its relay on Abis (3GPP TS 48.008
+    /// §3.2.1.19). The IMSI tells the cell which subscriber is paged;
+    /// only `identity` goes on the air, in a [`Dtap::PagingRequest`].
     Paging {
+        /// The paged subscriber.
+        imsi: Imsi,
+        /// Identity to broadcast: the TMSI when one is allocated, so the
+        /// IMSI stays off the air (GSM 03.20).
+        identity: MsIdentity,
+    },
+    /// The page on the cell's paging channel (GSM 04.08 PAGING REQUEST).
+    /// A handset answers only when `identity` is its own.
+    PagingRequest {
         /// Identity broadcast in the paging channel.
         identity: MsIdentity,
     },
@@ -209,7 +221,7 @@ impl Dtap {
             Dtap::Disconnect { .. } => "Disconnect",
             Dtap::Release { .. } => "Release",
             Dtap::ReleaseComplete { .. } => "Release_Complete",
-            Dtap::Paging { .. } => "Paging",
+            Dtap::Paging { .. } | Dtap::PagingRequest { .. } => "Paging",
             Dtap::PagingResponse { .. } => "Paging_Response",
             Dtap::MtSetup { .. } => "Setup",
             Dtap::HandoverCommand { .. } => "Handover_Command",
@@ -255,7 +267,6 @@ impl Dtap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::Imsi;
 
     fn imsi() -> Imsi {
         Imsi::parse("466920123456789").unwrap()

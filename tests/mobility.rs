@@ -68,7 +68,7 @@ fn add_mover(
     net.connect(ms, zone2.bts, Interface::Um, SimDuration::from_millis(5));
     net.node_mut::<vgprs_gsm::Bts>(zone2.bts)
         .unwrap()
-        .register_ms(ms);
+        .register_ms(ms, imsi);
     let m = net.node_mut::<MobileStation>(ms).unwrap();
     m.add_neighbor(CellId(2), zone2.bts);
     m.add_neighbor(zone1.cell, zone1.bts);
