@@ -231,10 +231,11 @@ impl Node<Message> for Bts {
                     ..
                 },
             ) => {
-                // The paging block goes out on the PCH and is charged
-                // against the common-channel budget whoever camps here.
-                // Only the paged subscriber's handsets can match its
-                // identity, so only they are handed the block.
+                // Every page takes a block of the cell's paging channel,
+                // charged against its budget, whether or not the paged
+                // subscriber camps here. Only that subscriber's handsets
+                // can match the broadcast identity, so only they are
+                // handed the block.
                 self.note_page(ctx.now().as_millis());
                 for &ms in self.camped.get(&imsi).into_iter().flatten() {
                     ctx.send(ms, Message::Um(Dtap::PagingRequest { identity }));
@@ -490,7 +491,9 @@ mod tests {
     fn register_ms_is_idempotent() {
         let a = imsi(1);
         let (mut net, bts, handsets) = paging_rig(&[a], vec![page(a)]);
-        net.node_mut::<Bts>(bts).unwrap().register_ms(handsets[0], a);
+        net.node_mut::<Bts>(bts)
+            .unwrap()
+            .register_ms(handsets[0], a);
         net.run_until_quiescent();
         assert_eq!(net.node::<Probe>(handsets[0]).unwrap().got.len(), 1);
     }

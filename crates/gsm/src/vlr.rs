@@ -132,10 +132,13 @@ impl Vlr {
     /// its IMSI, instead of resolving to the local subscriber that
     /// happens to hold the same number.
     fn alloc_tmsi(&mut self, vlr: NodeId, imsi: Imsi) -> Tmsi {
-        let space = u8::try_from(vlr.index())
-            .expect("a VLR is among the first 256 nodes of its network");
+        let space =
+            u8::try_from(vlr.index()).expect("a VLR is among the first 256 nodes of its network");
         self.next_tmsi += 1;
-        assert!(self.next_tmsi < 1 << 24, "VLR exhausted its 24-bit TMSI space");
+        assert!(
+            self.next_tmsi < 1 << 24,
+            "VLR exhausted its 24-bit TMSI space"
+        );
         let tmsi = Tmsi((u32::from(space) << 24) | self.next_tmsi);
         if let Some(rec) = self.records.get_mut(&imsi) {
             if let Some(old) = rec.tmsi.replace(tmsi) {

@@ -422,13 +422,8 @@ impl Shard {
             let msisdn = msisdn_for(g);
             let alias = alias_for(g);
             let imsi = imsi_for(g);
-            let ms = home.add_subscriber(
-                &mut net,
-                &format!("ms{g}"),
-                imsi,
-                0x5000 + g as u64,
-                msisdn,
-            );
+            let ms =
+                home.add_subscriber(&mut net, &format!("ms{g}"), imsi, 0x5000 + g as u64, msisdn);
             let terminal = home.add_terminal(&mut net, &format!("t{g}"), alias);
             let cross_target = plan
                 .excursion

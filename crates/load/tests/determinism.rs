@@ -695,5 +695,9 @@ fn behaviour_fingerprints_are_pinned() {
             (got != *pin).then(|| format!("{name}: pinned {pin:016x}, got {got:016x}"))
         })
         .collect();
-    assert!(drift.is_empty(), "behaviour moved:\n  {}", drift.join("\n  "));
+    assert!(
+        drift.is_empty(),
+        "behaviour moved:\n  {}",
+        drift.join("\n  ")
+    );
 }

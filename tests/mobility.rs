@@ -78,8 +78,11 @@ fn add_mover(
 }
 
 fn move_to(w: &mut TwoAreas, ms: vgprs_sim::NodeId, cell: CellId) {
-    w.net
-        .inject(SimDuration::ZERO, ms, Message::Cmd(Command::MoveToCell { cell }));
+    w.net.inject(
+        SimDuration::ZERO,
+        ms,
+        Message::Cmd(Command::MoveToCell { cell }),
+    );
     w.net.run_until_quiescent();
 }
 
