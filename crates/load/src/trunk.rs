@@ -90,6 +90,27 @@ struct RxChannel {
     buffer: BTreeMap<u64, Flit>,
 }
 
+/// One partition window on the heal schedule. `window` indexes the
+/// pair's plan, so the schedule holds no copy of the window itself.
+struct PartitionWindow {
+    at_ms: u64,
+    end_ms: u64,
+    pair: u32,
+    window: u32,
+}
+
+/// A pair the heal step is watching: it has an opened partition window
+/// that has not yet ended, or it was partitioned at the last barrier.
+#[derive(Default)]
+struct Watch {
+    /// Opened partition windows, as indices into the pair's plan.
+    windows: Vec<u32>,
+    /// Latest end among them.
+    until_ms: u64,
+    /// Was the pair partitioned (level > 0) at the previous barrier?
+    partitioned: bool,
+}
+
 /// One transmission staged for delivery at the current barrier.
 struct Staged {
     src: usize,
@@ -111,11 +132,24 @@ pub struct TrunkFabric {
     /// Per unordered pair, indexed `a * shards + b` (a < b); empty when
     /// disarmed.
     plans: Vec<TrunkPlan>,
-    /// Was the pair partitioned (level > 0) at the previous barrier?
-    was_partitioned: Vec<bool>,
+    /// Every partition window of every pair, sorted by start.
+    heal_schedule: Vec<PartitionWindow>,
+    /// Schedule entries before this index have opened.
+    next_window: usize,
+    /// Pairs whose partition level can change or has just changed, by
+    /// pair index; every other pair is unpartitioned.
+    watched: BTreeMap<usize, Watch>,
     inboxes: Vec<Vec<(usize, Flit)>>,
     tx: BTreeMap<(usize, usize), TxChannel>,
     rx: BTreeMap<(usize, usize), RxChannel>,
+    /// Retransmission deadlines `(due_ms, src, dst, seq)`. Acks leave
+    /// stale entries behind; an entry counts only while its `Pending`
+    /// still exists with that `due_ms`.
+    due: BTreeSet<(u64, usize, usize, u64)>,
+    /// Unacknowledged flits across every `tx` channel.
+    unacked: usize,
+    /// Out-of-order arrivals across every `rx` buffer.
+    buffered: usize,
     /// Transmissions staged by `post` for this barrier's `seal`.
     staged: Vec<Staged>,
     /// Cumulative acks generated at the previous barrier, applied at the
@@ -130,28 +164,53 @@ impl TrunkFabric {
     /// Builds the fabric. With a zero-intensity (or absent) trunk config
     /// the fabric is disarmed and behaves exactly like the bare mailbox.
     pub fn new(shards: usize, seed: u64, cfg: &TrunkPlanConfig, window_secs: u64) -> Self {
-        let armed = shards > 1 && !cfg.is_off() && window_secs > 0;
-        let plans = if armed {
-            let mut plans = vec![TrunkPlan::default(); shards * shards];
+        let mut plans = Vec::new();
+        if shards > 1 && !cfg.is_off() && window_secs > 0 {
+            plans = vec![TrunkPlan::default(); shards * shards];
             for a in 0..shards {
                 for b in (a + 1)..shards {
                     plans[a * shards + b] = compile_trunk_plan(cfg, seed, a, b, window_secs);
                 }
             }
-            plans
-        } else {
-            Vec::new()
-        };
+        }
+        Self::from_plans(shards, seed, plans)
+    }
+
+    /// Builds the fabric from compiled pair plans indexed
+    /// `a * shards + b` (a < b). An empty `plans` disarms it.
+    fn from_plans(shards: usize, seed: u64, plans: Vec<TrunkPlan>) -> Self {
+        let mut heal_schedule: Vec<PartitionWindow> = plans
+            .iter()
+            .enumerate()
+            .flat_map(|(pair, plan)| {
+                plan.windows
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, w)| w.class == TrunkFaultClass::Partition)
+                    .map(move |(window, w)| PartitionWindow {
+                        at_ms: w.at_ms,
+                        end_ms: w.at_ms.saturating_add(w.duration_ms),
+                        pair: pair as u32,
+                        window: window as u32,
+                    })
+            })
+            .collect();
+        heal_schedule.sort_by_key(|w| w.at_ms);
         TrunkFabric {
             shards,
             seed,
-            armed,
+            armed: !plans.is_empty(),
             backoff: retransmit_backoff(),
-            was_partitioned: vec![false; if armed { shards * shards } else { 0 }],
             plans,
+            heal_schedule,
+            next_window: 0,
+            watched: BTreeMap::new(),
             inboxes: (0..shards).map(|_| Vec::new()).collect(),
             tx: BTreeMap::new(),
             rx: BTreeMap::new(),
+            due: BTreeSet::new(),
+            unacked: 0,
+            buffered: 0,
             staged: Vec::new(),
             acks: Vec::new(),
             stats: Stats::new(),
@@ -243,6 +302,8 @@ impl TrunkFabric {
             let due_ms = self.now_ms
                 + self.backoff.delay(0).expect("ladder allows a first retry").as_millis();
             chan.unacked.insert(seq, Pending { flit: clone_flit(&env.flit), attempt: 0, due_ms });
+            self.due.insert((due_ms, from_shard, dst, seq));
+            self.unacked += 1;
             self.transmit(from_shard, dst, seq, 0, &env.flit);
         }
     }
@@ -256,44 +317,58 @@ impl TrunkFabric {
         if !self.armed {
             return;
         }
+        debug_assert!(now_ms >= self.now_ms, "barrier time went backwards");
         self.now_ms = now_ms;
 
         // 1. Acks generated at the previous barrier arrive now and
         //    cancel retransmission for everything below them.
         for (src, dst, cum) in std::mem::take(&mut self.acks) {
             if let Some(chan) = self.tx.get_mut(&(src, dst)) {
-                chan.unacked.retain(|&seq, _| seq >= cum);
+                let kept = chan.unacked.split_off(&cum);
+                self.unacked -= chan.unacked.len();
+                chan.unacked = kept;
             }
         }
 
-        // 2. Retransmit scan, channels and sequences in ascending order.
+        // 2. Retransmit what is due, in ascending (src, dst, seq) order.
         //    A flit whose ladder is exhausted is abandoned: the receiver
         //    resynchronizes past the hole and the sender shard is told.
-        let mut expired: Vec<(usize, usize, u64, Flit)> = Vec::new();
-        let mut retransmit: Vec<(usize, usize, u64, u32, Flit)> = Vec::new();
-        for (&(src, dst), chan) in self.tx.iter_mut() {
-            let mut dead = Vec::new();
-            for (&seq, pending) in chan.unacked.iter_mut() {
-                if pending.due_ms > now_ms {
-                    continue;
-                }
-                pending.attempt += 1;
-                match self.backoff.delay(pending.attempt) {
-                    Some(d) => {
-                        pending.due_ms = now_ms + d.as_millis();
-                        retransmit.push((src, dst, seq, pending.attempt, clone_flit(&pending.flit)));
-                    }
-                    None => dead.push(seq),
-                }
+        let mut ripe: Vec<(usize, usize, u64)> = Vec::new();
+        while let Some(&(due_ms, src, dst, seq)) = self.due.first() {
+            if due_ms > now_ms {
+                break;
             }
-            for seq in dead {
-                let pending = chan.unacked.remove(&seq).expect("collected above");
-                expired.push((src, dst, seq, pending.flit));
+            self.due.pop_first();
+            let live = self
+                .tx
+                .get(&(src, dst))
+                .and_then(|chan| chan.unacked.get(&seq))
+                .is_some_and(|pending| pending.due_ms == due_ms);
+            if live {
+                ripe.push((src, dst, seq));
             }
         }
-        for (src, dst, seq, attempt, flit) in retransmit {
-            self.stats.count("trunk.retransmits");
-            self.transmit(src, dst, seq, attempt, &flit);
+        ripe.sort_unstable();
+        let mut expired: Vec<(usize, usize, u64, Flit)> = Vec::new();
+        for (src, dst, seq) in ripe {
+            let chan = self.tx.get_mut(&(src, dst)).expect("ripe flits are unacked");
+            let pending = chan.unacked.get_mut(&seq).expect("ripe flits are unacked");
+            pending.attempt += 1;
+            let attempt = pending.attempt;
+            match self.backoff.delay(attempt) {
+                Some(d) => {
+                    pending.due_ms = now_ms + d.as_millis();
+                    self.due.insert((pending.due_ms, src, dst, seq));
+                    let flit = clone_flit(&pending.flit);
+                    self.stats.count("trunk.retransmits");
+                    self.transmit(src, dst, seq, attempt, &flit);
+                }
+                None => {
+                    let pending = chan.unacked.remove(&seq).expect("looked up above");
+                    self.unacked -= 1;
+                    expired.push((src, dst, seq, pending.flit));
+                }
+            }
         }
         let mut touched: BTreeSet<(usize, usize)> = BTreeSet::new();
         for (src, dst, seq, _) in &expired {
@@ -304,7 +379,7 @@ impl TrunkFabric {
             if chan.next_expected <= *seq {
                 chan.next_expected = seq + 1;
                 touched.insert((*src, *dst));
-                Self::release(chan, *src, *dst, &mut self.inboxes, directory);
+                self.buffered -= Self::release(chan, *src, *dst, &mut self.inboxes, directory);
             }
         }
 
@@ -326,7 +401,8 @@ impl TrunkFabric {
                 self.stats.observe("trunk.reorder_depth", (s.seq - chan.next_expected) as f64);
             }
             chan.buffer.insert(s.seq, s.flit);
-            Self::release(chan, s.src, s.dst, &mut self.inboxes, directory);
+            self.buffered += 1;
+            self.buffered -= Self::release(chan, s.src, s.dst, &mut self.inboxes, directory);
         }
 
         // 5. Abandonment notices to the sender shards, after any
@@ -337,20 +413,38 @@ impl TrunkFabric {
         }
 
         // 6. Heal edges: the instant a pair's partition level returns to
-        //    zero, both ends learn the trunk is back.
-        for a in 0..self.shards {
-            for b in (a + 1)..self.shards {
-                let idx = a * self.shards + b;
-                let level = self.plans[idx].level_at(TrunkFaultClass::Partition, now_ms);
-                let partitioned = level > 0.0;
-                if self.was_partitioned[idx] && !partitioned {
-                    self.stats.count("trunk.heals");
-                    self.inboxes[a].push((b, Flit::TrunkHeal { peer: b }));
-                    self.inboxes[b].push((a, Flit::TrunkHeal { peer: a }));
-                }
-                self.was_partitioned[idx] = partitioned;
+        //    zero, both ends learn the trunk is back. Only watched pairs
+        //    can change level, so only they are evaluated, in ascending
+        //    pair order; a pair leaves the watch once it is unpartitioned
+        //    and all its opened windows have ended.
+        while let Some(w) = self.heal_schedule.get(self.next_window) {
+            if w.at_ms > now_ms {
+                break;
             }
+            let watch = self.watched.entry(w.pair as usize).or_default();
+            watch.windows.push(w.window);
+            watch.until_ms = watch.until_ms.max(w.end_ms);
+            self.next_window += 1;
         }
+        let shards = self.shards;
+        let (plans, stats, inboxes) = (&self.plans, &mut self.stats, &mut self.inboxes);
+        self.watched.retain(|&pair, watch| {
+            let windows = &plans[pair].windows;
+            let level = watch
+                .windows
+                .iter()
+                .map(|&w| windows[w as usize].level_at(now_ms))
+                .fold(0.0, f64::max);
+            let partitioned = level > 0.0;
+            if watch.partitioned && !partitioned {
+                let (a, b) = (pair / shards, pair % shards);
+                stats.count("trunk.heals");
+                inboxes[a].push((b, Flit::TrunkHeal { peer: b }));
+                inboxes[b].push((a, Flit::TrunkHeal { peer: a }));
+            }
+            watch.partitioned = partitioned;
+            partitioned || now_ms < watch.until_ms
+        });
 
         // 7. Cumulative acks for every channel that heard anything this
         //    barrier, subject to reverse-direction chaos, applied at the
@@ -371,18 +465,22 @@ impl TrunkFabric {
 
     /// Releases every in-sequence buffered flit on `(src → dst)` into
     /// the destination inbox, observing the HLR directory at delivery.
+    /// Returns how many left the buffer.
     fn release(
         chan: &mut RxChannel,
         src: usize,
         dst: usize,
         inboxes: &mut [Vec<(usize, Flit)>],
         directory: &mut HlrDirectory,
-    ) {
+    ) -> usize {
+        let mut released = 0;
         while let Some(flit) = chan.buffer.remove(&chan.next_expected) {
             chan.next_expected += 1;
+            released += 1;
             directory.observe(src, &Envelope { to_shard: dst, flit: clone_flit(&flit) });
             inboxes[dst].push((src, flit));
         }
+        released
     }
 
     /// Takes everything queued for `shard`, in delivery order.
@@ -396,8 +494,8 @@ impl TrunkFabric {
     /// of these remain, so retransmission ladders always resolve.
     pub fn in_flight(&self) -> usize {
         self.inboxes.iter().map(Vec::len).sum::<usize>()
-            + self.tx.values().map(|c| c.unacked.len()).sum::<usize>()
-            + self.rx.values().map(|c| c.buffer.len()).sum::<usize>()
+            + self.unacked
+            + self.buffered
             + self.acks.len()
     }
 }
@@ -422,6 +520,13 @@ mod tests {
 
     fn directory() -> HlrDirectory {
         HlrDirectory::new(&[(0, 8), (8, 8)])
+    }
+
+    /// An armed two-shard fabric whose only pair plan is `window`.
+    fn pair_fabric(window: vgprs_faults::TrunkWindow) -> TrunkFabric {
+        let mut plans = vec![TrunkPlan::default(); 4];
+        plans[1].windows.push(window);
+        TrunkFabric::from_plans(2, 42, plans)
     }
 
     /// Disarmed, the fabric must be byte-for-byte the bare mailbox:
@@ -489,11 +594,7 @@ mod tests {
     fn exhausted_retransmission_resolves_and_leaks_nothing() {
         // A plan whose partition covers the whole run: one synthetic
         // window, full drop, no ramp.
-        let mut fabric = TrunkFabric::new(2, 42, &TrunkPlanConfig::default(), 300);
-        fabric.armed = true;
-        fabric.plans = vec![TrunkPlan::default(); 4];
-        fabric.was_partitioned = vec![false; 4];
-        fabric.plans[1].windows.push(vgprs_faults::TrunkWindow {
+        let mut fabric = pair_fabric(vgprs_faults::TrunkWindow {
             at_ms: 0,
             duration_ms: u64::MAX / 2,
             class: TrunkFaultClass::Partition,
@@ -620,11 +721,7 @@ mod tests {
     /// A heal edge notifies both ends exactly once per closed window.
     #[test]
     fn partition_heal_notifies_both_ends() {
-        let mut fabric = TrunkFabric::new(2, 42, &TrunkPlanConfig::default(), 300);
-        fabric.armed = true;
-        fabric.plans = vec![TrunkPlan::default(); 4];
-        fabric.was_partitioned = vec![false; 4];
-        fabric.plans[1].windows.push(vgprs_faults::TrunkWindow {
+        let mut fabric = pair_fabric(vgprs_faults::TrunkWindow {
             at_ms: 100,
             duration_ms: 200,
             class: TrunkFaultClass::Partition,
@@ -640,5 +737,78 @@ mod tests {
         let b: Vec<_> = fabric.take_inbox(1);
         assert!(matches!(a.as_slice(), [(1, Flit::TrunkHeal { peer: 1 })]));
         assert!(matches!(b.as_slice(), [(0, Flit::TrunkHeal { peer: 0 })]));
+    }
+
+    /// The heal schedule, the due index and the running counts against a
+    /// brute-force reference: every barrier rescans every pair's
+    /// partition level and walks every channel, and must agree with the
+    /// fabric's heal notifications (per-inbox order included) and with
+    /// `in_flight()`.
+    #[test]
+    fn barrier_bookkeeping_matches_full_rescan() {
+        const SHARDS: usize = 8;
+        let mut fabric = TrunkFabric::new(SHARDS, 42, &TrunkPlanConfig::all(1.0), 300);
+        let mut dir = HlrDirectory::new(&(0..SHARDS).map(|s| (s * 8, 8)).collect::<Vec<_>>());
+        let mut was_partitioned = [false; SHARDS * SHARDS];
+        let (mut heals, mut max_buffered) = (0u64, 0usize);
+        for k in 1..=(360_000 / EPOCH) {
+            // Traffic on a rotating set of channels, posted in ascending
+            // source order as the engine does.
+            for src in 0..SHARDS {
+                let dst = (src + 1 + (k as usize % (SHARDS - 1))) % SHARDS;
+                let batch = (0..1 + k % 3)
+                    .map(|i| arrive(dst, (k as usize + i as usize) % 64))
+                    .collect();
+                fabric.post(src, batch, &mut dir);
+            }
+            let t = k * EPOCH;
+            fabric.seal(t, &mut dir);
+
+            let mut expected: Vec<Vec<(usize, usize)>> = vec![Vec::new(); SHARDS];
+            for a in 0..SHARDS {
+                for b in (a + 1)..SHARDS {
+                    let idx = a * SHARDS + b;
+                    let partitioned =
+                        fabric.plans[idx].level_at(TrunkFaultClass::Partition, t) > 0.0;
+                    if was_partitioned[idx] && !partitioned {
+                        expected[a].push((b, b));
+                        expected[b].push((a, a));
+                        heals += 1;
+                    }
+                    was_partitioned[idx] = partitioned;
+                }
+            }
+            let unacked: usize = fabric.tx.values().map(|c| c.unacked.len()).sum();
+            let buffered: usize = fabric.rx.values().map(|c| c.buffer.len()).sum();
+            let inboxes: usize = fabric.inboxes.iter().map(Vec::len).sum();
+            max_buffered = max_buffered.max(buffered);
+            assert_eq!(
+                fabric.in_flight(),
+                inboxes + unacked + buffered + fabric.acks.len(),
+                "in_flight diverged at {t} ms"
+            );
+            for (shard, want) in expected.iter().enumerate() {
+                let got: Vec<(usize, usize)> = fabric
+                    .take_inbox(shard)
+                    .into_iter()
+                    .filter_map(|(from, flit)| match flit {
+                        Flit::TrunkHeal { peer } => Some((from, peer)),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(&got, want, "heals for shard {shard} at {t} ms");
+            }
+        }
+        assert!(heals > 0, "no partition healed");
+        assert_eq!(fabric.stats().counter("trunk.heals"), heals);
+        assert!(
+            fabric.stats().counter("trunk.retransmits") > 0,
+            "nothing retransmitted"
+        );
+        assert!(
+            fabric.stats().counter("trunk.expired") > 0,
+            "no ladder exhausted"
+        );
+        assert!(max_buffered > 0, "no out-of-order arrival was buffered");
     }
 }
