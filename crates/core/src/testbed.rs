@@ -344,8 +344,7 @@ impl VgprsZone {
         label: &str,
         alias: Msisdn,
     ) -> NodeId {
-        self.next_host += 1;
-        let addr = TransportAddr::new(self.lan_host_addr(), 1720);
+        let addr = TransportAddr::new(self.next_lan_host(), 1720);
         let term = net.add_node(
             &format!("{}.{}", self.name, label),
             H323Terminal::new(TerminalConfig::new(alias, addr, self.gk_addr), self.router),
@@ -357,9 +356,17 @@ impl VgprsZone {
         term
     }
 
-    /// Next LAN host address, spread over 10.1.x.y so a zone can host
-    /// tens of thousands of endpoints (population-scale load runs).
-    fn lan_host_addr(&self) -> Ipv4Addr {
+    /// Claims the next LAN host address, spread over 10.1.x.y so a zone
+    /// can host tens of thousands of endpoints (population-scale load
+    /// runs). Panics when the 16-bit host space is spent: wrapping would
+    /// hand out duplicate addresses, the gatekeeper's among them.
+    fn next_lan_host(&mut self) -> Ipv4Addr {
+        self.next_host = self.next_host.checked_add(1).unwrap_or_else(|| {
+            panic!(
+                "zone {}: LAN host addresses exhausted (10.1.x.y)",
+                self.name
+            )
+        });
         Ipv4Addr::from_octets(10, 1, (self.next_host >> 8) as u8, self.next_host as u8)
     }
 
@@ -372,8 +379,7 @@ impl VgprsZone {
         switch: NodeId,
         preferred_prefix: &str,
     ) -> NodeId {
-        self.next_host += 1;
-        let addr = TransportAddr::new(self.lan_host_addr(), 1720);
+        let addr = TransportAddr::new(self.next_lan_host(), 1720);
         let gw = net.add_node(
             &format!("{}.gw", self.name),
             PstnGateway::new(
@@ -574,6 +580,35 @@ mod tests {
         assert!(net.node::<Vmsc>(zone.vmsc).is_some());
         assert!(net.node::<Gatekeeper>(zone.gk).is_some());
         assert_eq!(net.trace().len(), 0, "an empty zone is silent");
+    }
+
+    /// The LAN counter refuses to wrap: the last 10.1.255.255 host is
+    /// handed out, the one after it panics naming the zone, for
+    /// terminals and gateways alike.
+    #[test]
+    fn lan_host_counter_fails_loudly_at_its_end() {
+        let mut net = Network::new(1);
+        let mut zone = VgprsZone::build(&mut net, VgprsZoneConfig::taiwan());
+        zone.next_host = u16::MAX - 1;
+        let last = zone.add_terminal(&mut net, "last", Msisdn::parse("886900000001").unwrap());
+        assert!(net.node::<H323Terminal>(last).is_some());
+        assert_eq!(zone.next_host, u16::MAX);
+        let name = zone.name.clone();
+        let term = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            zone.clone()
+                .add_terminal(&mut net, "wrapped", Msisdn::parse("886900000002").unwrap())
+        }));
+        let sw = net.add_node("pstn", PstnSwitch::new("pstn"));
+        let gw = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            zone.clone().add_gateway(&mut net, sw, "886")
+        }));
+        for outcome in [term, gw] {
+            let msg = outcome.expect_err("counter wrapped silently");
+            let msg = msg
+                .downcast_ref::<String>()
+                .expect("formatted panic message");
+            assert!(msg.contains(&name) && msg.contains("exhausted"), "{msg}");
+        }
     }
 
     #[test]
