@@ -7,6 +7,12 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml"
+# The benchmark is a package of its own outside the workspace; build it
+# here so a public-API change in vgprs-load or vgprs-sim that breaks it
+# fails verification, not the benchmark run.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test -q
 
