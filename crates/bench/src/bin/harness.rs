@@ -6,14 +6,12 @@
 //! harness load [--subscribers N] [--threads N] [--shards N] [--seed N]
 //!              [--window-secs N] [--rate CALLS_PER_SUB_HOUR] [--hold SECS]
 //!              [--mix MO,MT,M2M] [--mobility FRAC] [--cross-shard-rate FRAC]
-//!              [--tch N] [--voice-sample-ms N] [--kernel heap|wheel]
+//!              [--tch N] [--voice-sample-ms N]
 //!              [--trunk-intensity F] [--trunk-class CLASS]
 //!              [--json PATH] [--snapshots PATH] [--snapshot-secs N]
 //!              [--snapshots-per-shard] [--snapshots-csv PATH]
 //! harness capacity [--subscribers N] [--threads N] [--seed N]
 //!                  [--max-load F] [--refine N] [--json PATH]
-//! harness kernelbench [--subscribers N] [--shards N] [--repeat N]
-//!                     [--out PATH] [--check]
 //! harness chaos [--subscribers N] [--shards N] [--threads N] [--seed N]
 //!               [--window-secs N] [--rate F] [--hold SECS] [--out PATH]
 //!               [--cross-shard-rate FRAC] [--check]
@@ -29,14 +27,14 @@
 //!
 //! With no argument it runs every paper experiment (`all`). The outputs
 //! recorded in `EXPERIMENTS.md` are produced by `harness all`, the
-//! capacity table by `harness capacity`, the event-kernel baseline
-//! in `BENCH_kernel.json` by `harness kernelbench`, the resilience
-//! matrix in `BENCH_chaos.json` by `harness chaos`, and the flash-crowd
+//! capacity table by `harness capacity`, the resilience matrix in
+//! `BENCH_chaos.json` by `harness chaos`, and the flash-crowd
 //! overload sweep in `BENCH_surge.json` by `harness surge`. `harness
 //! diff` compares two such dumps KPI-by-KPI against the thresholds in
 //! `diff-thresholds.toml` and exits nonzero on regression; `harness
 //! diff --check` is the verify-script gate, diffing a fresh canonical
-//! small run against the committed `baselines/load_small.json`.
+//! small run against the committed `baselines/load_small.json`. A flag
+//! no subcommand knows exits 2 naming it.
 
 use std::time::Instant;
 
@@ -52,10 +50,11 @@ use vgprs_bench::scenarios::{
     intersystem_handoff, tromboning_classic, tromboning_vgprs, SingleZone,
 };
 use vgprs_load::{
-    capacity_knee, run_load, FaultClass, FaultPlanConfig, LoadConfig, OverloadControls,
-    ScenarioConfig, TrunkFaultClass, TrunkPlanConfig,
+    capacity_knee, check_thread_invariance, run_load, FaultClass, FaultPlanConfig, LoadConfig,
+    LoadReport, OverloadControls, ScenarioConfig, TrunkFaultClass, TrunkPlanConfig,
+    INVARIANCE_THREADS,
 };
-use vgprs_sim::{Kernel, LadderDiagram, SimDuration};
+use vgprs_sim::{LadderDiagram, SimDuration};
 use vgprs_wire::{CallId, Command, Message};
 
 fn main() {
@@ -64,7 +63,6 @@ fn main() {
     match arg {
         "load" => return load_cmd(&args[1..]),
         "capacity" => return capacity_cmd(&args[1..]),
-        "kernelbench" => return kernelbench_cmd(&args[1..]),
         "chaos" => return chaos_cmd(&args[1..]),
         "surge" => return surge_cmd(&args[1..]),
         "diff" => return diff_cmd(&args[1..]),
@@ -99,22 +97,21 @@ fn main() {
     if !ran {
         eprintln!(
             "unknown experiment {arg:?}; expected fig1..fig9, c1..c5, c2b, \
-             load, capacity, kernelbench, chaos, surge, diff, bench or all"
+             load, capacity, chaos, surge, diff, bench or all"
         );
         std::process::exit(2);
     }
 }
 
 fn load_cmd(rest: &[String]) {
-    let flags = Flags(rest);
+    let flags = Flags::new(rest);
     let cfg = load_config_from(&flags, &RunDefaults::default());
     heading(&format!(
-        "Busy hour — {} subscribers, {} shards, {} threads, seed {}, {} kernel",
+        "Busy hour — {} subscribers, {} shards, {} threads, seed {}",
         cfg.subscribers,
         cfg.effective_shards(),
         cfg.effective_threads(),
-        cfg.seed,
-        cfg.kernel
+        cfg.seed
     ));
     let report = run_load(&cfg);
     print!("{}", report.render());
@@ -192,7 +189,7 @@ fn read_thresholds(flags: &Flags<'_>) -> Thresholds {
 /// surge determinism checks, so it finishes in seconds.
 fn diff_check_config() -> LoadConfig {
     load_config_from(
-        &Flags(&[]),
+        &Flags::new(&[]),
         &RunDefaults {
             subscribers: 96,
             shards: 4,
@@ -212,7 +209,7 @@ fn diff_check_config() -> LoadConfig {
 /// `--update-baseline` regenerates that file (after intentional KPI
 /// changes — see `scripts/update-baselines.sh`).
 fn diff_cmd(rest: &[String]) {
-    let flags = Flags(rest);
+    let flags = Flags::new(rest);
     let thresholds = read_thresholds(&flags);
     if flags.has("--check") || flags.has("--update-baseline") {
         let baseline_path = flags.get("--baseline").unwrap_or(DIFF_BASELINE);
@@ -287,7 +284,7 @@ fn diff_cmd(rest: &[String]) {
 }
 
 fn capacity_cmd(rest: &[String]) {
-    let flags = Flags(rest);
+    let flags = Flags::new(rest);
     let mut base = load_config_from(&flags, &RunDefaults::default());
     if flags.get("--subscribers").is_none() {
         base.subscribers = 2048;
@@ -381,144 +378,6 @@ fn capacity_json(
         )),
         None => out.push_str("  \"knee\": null\n"),
     }
-    out.push_str("}\n");
-    out
-}
-
-/// One kernel's side of the `kernelbench` comparison.
-struct KernelRun {
-    kernel: Kernel,
-    fingerprint: u64,
-    events: u64,
-    wall_secs: Vec<f64>,
-}
-
-impl KernelRun {
-    /// Best (highest) observed throughput across the repeats.
-    fn events_per_sec(&self) -> f64 {
-        let best = self.wall_secs.iter().copied().fold(f64::MAX, f64::min);
-        self.events as f64 / best
-    }
-}
-
-fn run_kernel_once(cfg: &LoadConfig, kernel: Kernel, into: &mut KernelRun) {
-    let mut cfg = cfg.clone();
-    cfg.kernel = kernel;
-    let report = run_load(&cfg);
-    into.fingerprint = report.fingerprint();
-    into.events = report.events;
-    into.wall_secs.push(report.wall.as_secs_f64().max(1e-9));
-}
-
-/// Event-kernel baseline: the busy-hour shard workload on the binary
-/// heap vs. the timer wheel. Fingerprints must be identical — the wheel
-/// is only allowed to be *faster*, never *different*. Throughput is
-/// reported, and recorded in `BENCH_kernel.json`, but never gated: this
-/// command fails only on fingerprint divergence.
-///
-/// The default population is a city-scale shard (40k subscribers): deep
-/// enough that the heap's `O(log n)` pointer-chasing sift path separates
-/// clearly from the wheel's `O(1)` slot drains, while the wheel's compact
-/// 24-byte routing keys still sit within the cache (past ~64k subscribers
-/// the whole simulation working set outgrows the LLC and both kernels
-/// flatten toward memory bandwidth).
-fn kernelbench_cmd(rest: &[String]) {
-    let flags = Flags(rest);
-    let check = flags.has("--check");
-    let cfg = LoadConfig {
-        subscribers: flags.parse("--subscribers", if check { 256 } else { 40_960 }),
-        shards: flags.parse("--shards", 1),
-        threads: 1,
-        seed: flags.parse("--seed", SEED),
-        ..LoadConfig::default()
-    };
-    let repeat: usize = flags.parse("--repeat", if check { 1 } else { 3 });
-    heading(&format!(
-        "Event-kernel baseline — {} subscribers, {} shard(s), {} repeat(s), seed {}",
-        cfg.subscribers,
-        cfg.effective_shards(),
-        repeat,
-        cfg.seed
-    ));
-    let mut heap = KernelRun {
-        kernel: Kernel::Heap,
-        fingerprint: 0,
-        events: 0,
-        wall_secs: Vec::with_capacity(repeat),
-    };
-    let mut wheel = KernelRun {
-        kernel: Kernel::Wheel,
-        fingerprint: 0,
-        events: 0,
-        wall_secs: Vec::with_capacity(repeat),
-    };
-    // Interleave the repeats (heap, wheel, heap, wheel, ...): shared
-    // machines drift, and running one kernel's block entirely before the
-    // other would fold that drift into the comparison.
-    for _ in 0..repeat {
-        run_kernel_once(&cfg, Kernel::Heap, &mut heap);
-        run_kernel_once(&cfg, Kernel::Wheel, &mut wheel);
-    }
-    for r in [&heap, &wheel] {
-        println!(
-            "  {:<6} {:>12.0} events/s  ({} events, fingerprint {:016x})",
-            r.kernel.to_string(),
-            r.events_per_sec(),
-            r.events,
-            r.fingerprint
-        );
-    }
-    let speedup = wheel.events_per_sec() / heap.events_per_sec();
-    println!("  speedup: {speedup:.2}x (wheel over heap)");
-    if heap.fingerprint != wheel.fingerprint || heap.events != wheel.events {
-        eprintln!(
-            "  KERNEL DIVERGENCE: heap {:016x} ({} events) != wheel {:016x} ({} events)",
-            heap.fingerprint, heap.events, wheel.fingerprint, wheel.events
-        );
-        std::process::exit(1);
-    }
-    println!("  fingerprints identical: the wheel reproduces the heap's schedule");
-    if !check {
-        let path = flags.get("--out").unwrap_or("BENCH_kernel.json");
-        write_file(path, &kernelbench_json(&cfg, repeat, &heap, &wheel, speedup));
-        println!("  recorded: {path}");
-    }
-}
-
-fn kernelbench_json(
-    cfg: &LoadConfig,
-    repeat: usize,
-    heap: &KernelRun,
-    wheel: &KernelRun,
-    speedup: f64,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"workload\": \"busy_hour_shard\",\n");
-    out.push_str(&format!("{},\n", meta_json(cfg)));
-    out.push_str(&format!("  \"subscribers\": {},\n", cfg.subscribers));
-    out.push_str(&format!("  \"shards\": {},\n", cfg.effective_shards()));
-    out.push_str(&format!("  \"threads\": {},\n", cfg.effective_threads()));
-    out.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    out.push_str(&format!("  \"repeats\": {repeat},\n"));
-    out.push_str(&format!(
-        "  \"fingerprint\": \"{:016x}\",\n",
-        wheel.fingerprint
-    ));
-    for r in [heap, wheel] {
-        out.push_str(&format!(
-            "  \"{}\": {{\"events\": {}, \"events_per_sec\": {:.0}, \"wall_secs\": [{}]}},\n",
-            r.kernel,
-            r.events,
-            r.events_per_sec(),
-            r.wall_secs
-                .iter()
-                .map(|w| format!("{w:.6}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-    }
-    out.push_str(&format!("  \"speedup\": {speedup:.3}\n"));
     out.push_str("}\n");
     out
 }
@@ -637,10 +496,10 @@ fn cross_shard_base(base: &LoadConfig) -> LoadConfig {
 /// zero-fault baseline, on one fixed workload. Records drop rates,
 /// recovery percentiles and retry volumes in `BENCH_chaos.json`.
 /// `--check` instead verifies the determinism contract for faulted runs
-/// (thread count x kernel, plus zero-intensity equivalence) on a tiny
+/// (thread count, plus zero-intensity equivalence) on a tiny
 /// population and exits nonzero on any divergence.
 fn chaos_cmd(rest: &[String]) {
-    let flags = Flags(rest);
+    let flags = Flags::new(rest);
     if flags.has("--check") {
         return chaos_check(&flags);
     }
@@ -779,9 +638,28 @@ fn chaos_json(base: &LoadConfig, cells: &[ChaosCell]) -> String {
     out
 }
 
+/// Runs `cfg` at every thread count of [`INVARIANCE_THREADS`] and prints
+/// the verdict: the 1-thread report when every count matched it, `None`
+/// after naming the first differing KPI line.
+fn invariant(what: &str, cfg: &LoadConfig) -> Option<LoadReport> {
+    match check_thread_invariance(cfg) {
+        Ok(report) => {
+            println!(
+                "  {what}: identical at {INVARIANCE_THREADS:?} threads: {:016x}",
+                report.fingerprint()
+            );
+            Some(report)
+        }
+        Err(d) => {
+            eprintln!("  {} DIVERGENCE: {d}", what.to_uppercase());
+            None
+        }
+    }
+}
+
 /// The chaos determinism gate: a fixed fault plan must fingerprint
-/// identically at every thread count on both kernels, and a
-/// zero-intensity plan must reproduce the fault-free run exactly. The
+/// identically at every thread count, and a zero-intensity plan must
+/// reproduce the fault-free run exactly. The
 /// same two contracts are then enforced for the trunk fault family on a
 /// cross-shard population, plus per-class monotonicity: raising a trunk
 /// class's intensity must never reduce the damage it reports.
@@ -829,38 +707,13 @@ fn chaos_check(flags: &Flags<'_>) {
         faults: FaultPlanConfig::all(1.0),
         ..base.clone()
     };
-    let reference = run_load(&faulted);
-    println!(
-        "  faulted reference (1 thread, wheel): {:016x} ({} faults)",
-        reference.fingerprint(),
-        reference.faults_injected()
-    );
-    if reference.faults_injected() == 0 {
-        eprintln!("  NO FAULTS INJECTED: the check is vacuous");
-        failed = true;
-    }
-    for threads in [1usize, 2, 8] {
-        for kernel in [Kernel::Wheel, Kernel::Heap] {
-            if threads == 1 && kernel == Kernel::Wheel {
-                continue; // that is the reference itself
-            }
-            let other = run_load(&LoadConfig {
-                threads,
-                kernel,
-                ..faulted.clone()
-            });
-            if other.fingerprint() == reference.fingerprint() {
-                println!("  {threads} thread(s) on {kernel}: identical");
-            } else {
-                eprintln!(
-                    "  FAULTED DIVERGENCE at {threads} thread(s) on {kernel}: \
-                     {:016x} != {:016x}",
-                    other.fingerprint(),
-                    reference.fingerprint()
-                );
-                failed = true;
-            }
+    match invariant("faulted", &faulted) {
+        Some(r) if r.faults_injected() == 0 => {
+            eprintln!("  NO FAULTS INJECTED: the check is vacuous");
+            failed = true;
         }
+        Some(r) => println!("    ({} faults)", r.faults_injected()),
+        None => failed = true,
     }
 
     // --- Trunk fault family, on a population with cross-shard calls ---
@@ -888,39 +741,17 @@ fn chaos_check(flags: &Flags<'_>) {
         trunk: TrunkPlanConfig::all(1.0),
         ..cross
     };
-    let trunk_reference = run_load(&trunk_faulted);
-    println!(
-        "  trunk-faulted reference (1 thread, wheel): {:016x} ({} retransmits, {} expired)",
-        trunk_reference.fingerprint(),
-        trunk_reference.trunk_retransmits(),
-        trunk_reference.trunk_expired()
-    );
-    if trunk_reference.trunk_retransmits() == 0 {
-        eprintln!("  NO TRUNK RETRANSMITS: the trunk check is vacuous");
-        failed = true;
-    }
-    for threads in [1usize, 2, 8] {
-        for kernel in [Kernel::Wheel, Kernel::Heap] {
-            if threads == 1 && kernel == Kernel::Wheel {
-                continue; // that is the reference itself
-            }
-            let other = run_load(&LoadConfig {
-                threads,
-                kernel,
-                ..trunk_faulted.clone()
-            });
-            if other.fingerprint() == trunk_reference.fingerprint() {
-                println!("  trunk: {threads} thread(s) on {kernel}: identical");
-            } else {
-                eprintln!(
-                    "  TRUNK DIVERGENCE at {threads} thread(s) on {kernel}: \
-                     {:016x} != {:016x}",
-                    other.fingerprint(),
-                    trunk_reference.fingerprint()
-                );
-                failed = true;
-            }
+    match invariant("trunk-faulted", &trunk_faulted) {
+        Some(r) if r.trunk_retransmits() == 0 => {
+            eprintln!("  NO TRUNK RETRANSMITS: the trunk check is vacuous");
+            failed = true;
         }
+        Some(r) => println!(
+            "    ({} retransmits, {} expired)",
+            r.trunk_retransmits(),
+            r.trunk_expired()
+        ),
+        None => failed = true,
     }
 
     // Per-class graceful degradation: each class's own damage counter
@@ -1065,7 +896,7 @@ fn run_surge_cell_verbose(
 /// delay, peak-vs-steady drop rates and MOS in `BENCH_surge.json`.
 /// `--check` instead runs the surge determinism + monotonicity gate.
 fn surge_cmd(rest: &[String]) {
-    let flags = Flags(rest);
+    let flags = Flags::new(rest);
     if flags.has("--check") {
         return surge_check(&flags);
     }
@@ -1180,7 +1011,7 @@ fn surge_json(base: &LoadConfig, controls: OverloadControls, cells: &[SurgeCell]
 /// 1. A zero-shock plan with the controls off must reproduce the plain
 ///    flat busy-hour run bit-for-bit (fingerprint equality).
 /// 2. A surged, controlled run must fingerprint identically at every
-///    thread count on both kernels.
+///    thread count.
 /// 3. With the controls on, total interventions must grow monotonically
 ///    with shock intensity, and must be nonzero at the top intensity.
 fn surge_check(flags: &Flags<'_>) {
@@ -1231,38 +1062,13 @@ fn surge_check(flags: &Flags<'_>) {
     let mut surged = base.clone();
     surged.scenario = ScenarioConfig::flash(10.0);
     surged.controls = controls;
-    let reference = run_load(&surged);
-    println!(
-        "  surged reference (1 thread, wheel): {:016x} ({} peak attempts)",
-        reference.fingerprint(),
-        reference.attempts_peak()
-    );
-    if reference.attempts_peak() == 0 {
-        eprintln!("  NO PEAK ATTEMPTS: the shock never materialized");
-        failed = true;
-    }
-    for threads in [1usize, 2, 8] {
-        for kernel in [Kernel::Wheel, Kernel::Heap] {
-            if threads == 1 && kernel == Kernel::Wheel {
-                continue; // that is the reference itself
-            }
-            let other = run_load(&LoadConfig {
-                threads,
-                kernel,
-                ..surged.clone()
-            });
-            if other.fingerprint() == reference.fingerprint() {
-                println!("  {threads} thread(s) on {kernel}: identical");
-            } else {
-                eprintln!(
-                    "  SURGE DIVERGENCE at {threads} thread(s) on {kernel}: \
-                     {:016x} != {:016x}",
-                    other.fingerprint(),
-                    reference.fingerprint()
-                );
-                failed = true;
-            }
+    match invariant("surged", &surged) {
+        Some(r) if r.attempts_peak() == 0 => {
+            eprintln!("  NO PEAK ATTEMPTS: the shock never materialized");
+            failed = true;
         }
+        Some(r) => println!("    ({} peak attempts)", r.attempts_peak()),
+        None => failed = true,
     }
 
     let mut last = None;

@@ -1,21 +1,67 @@
 //! Shared plumbing for the `harness` binary's subcommands.
 //!
-//! Every population-scale subcommand (`load`, `capacity`, `kernelbench`,
-//! `chaos`, `surge`) parses the same flag vocabulary into a
+//! Every population-scale subcommand (`load`, `capacity`, `chaos`,
+//! `surge`) parses the same flag vocabulary into a
 //! [`LoadConfig`], prints the same banner style, and stamps the same
 //! run-metadata block into its `BENCH_*.json` artifact. Keeping the
 //! pieces here means a new subcommand cannot drift from the others.
 
 use vgprs_load::{CallMix, LoadConfig, TrunkFaultClass, TrunkPlanConfig};
-use vgprs_sim::Kernel;
 
 /// The master seed every experiment defaults to.
 pub const SEED: u64 = 42;
 
-/// Tiny flag parser: `--name value` pairs plus bare `--flag` switches.
-pub struct Flags<'a>(pub &'a [String]);
+/// Every `--name` any subcommand reads. A flag outside this list is a
+/// typo or a removed option, and running on as if it were absent would
+/// report a run nobody asked for.
+const KNOWN_FLAGS: &[&str] = &[
+    "--baseline",
+    "--check",
+    "--cross-shard-rate",
+    "--gk-bandwidth",
+    "--gk-shed",
+    "--hold",
+    "--json",
+    "--max-load",
+    "--mix",
+    "--mobility",
+    "--out",
+    "--paging-rate",
+    "--pdp-rate",
+    "--rate",
+    "--refine",
+    "--seed",
+    "--shards",
+    "--snapshot-secs",
+    "--snapshots",
+    "--snapshots-csv",
+    "--snapshots-per-shard",
+    "--subscribers",
+    "--tch",
+    "--thresholds",
+    "--threads",
+    "--trunk-class",
+    "--trunk-intensity",
+    "--update-baseline",
+    "--verbose",
+    "--voice-sample-ms",
+    "--window-secs",
+];
 
-impl Flags<'_> {
+/// Tiny flag parser: `--name value` pairs plus bare `--flag` switches.
+pub struct Flags<'a>(&'a [String]);
+
+impl<'a> Flags<'a> {
+    /// Wraps a subcommand's arguments, exiting with a usage error
+    /// naming the first flag that is not in [`KNOWN_FLAGS`].
+    pub fn new(args: &'a [String]) -> Self {
+        if let Some(flag) = unknown_flag(args) {
+            eprintln!("unknown flag {flag}");
+            std::process::exit(2);
+        }
+        Flags(args)
+    }
+
     /// The raw value following `--name`, if present.
     pub fn get(&self, name: &str) -> Option<&str> {
         self.0
@@ -63,16 +109,11 @@ pub fn parse_trunk_class(raw: &str) -> TrunkFaultClass {
     }
 }
 
-/// Parses `heap`/`wheel`, exiting with a usage error otherwise.
-pub fn parse_kernel(raw: &str) -> Kernel {
-    match raw {
-        "heap" => Kernel::Heap,
-        "wheel" => Kernel::Wheel,
-        _ => {
-            eprintln!("invalid value {raw:?} for --kernel; expected heap or wheel");
-            std::process::exit(2);
-        }
-    }
+/// The first `--name` in `args` that is not in [`KNOWN_FLAGS`].
+fn unknown_flag(args: &[String]) -> Option<&str> {
+    args.iter()
+        .map(String::as_str)
+        .find(|a| a.starts_with("--") && !KNOWN_FLAGS.contains(a))
 }
 
 /// Per-subcommand defaults for the shared flag vocabulary. Start from
@@ -140,9 +181,6 @@ pub fn load_config_from(flags: &Flags<'_>, defaults: &RunDefaults) -> LoadConfig
             Some(raw) => TrunkPlanConfig::only(parse_trunk_class(raw), trunk_intensity),
         };
     }
-    if let Some(raw) = flags.get("--kernel") {
-        cfg.kernel = parse_kernel(raw);
-    }
     if let Some(mix) = flags.get("--mix") {
         let parts: Vec<f64> = mix.split(',').filter_map(|p| p.parse().ok()).collect();
         if parts.len() != 3 {
@@ -195,14 +233,37 @@ pub fn git_describe() -> String {
 pub fn meta_json(cfg: &LoadConfig) -> String {
     format!(
         "  \"meta\": {{\"seed\": {}, \"subscribers\": {}, \"shards\": {}, \
-         \"threads\": {}, \"kernel\": \"{}\", \"window_secs\": {}, \
+         \"threads\": {}, \"window_secs\": {}, \
          \"git\": \"{}\"}}",
         cfg.seed,
         cfg.subscribers,
         cfg.effective_shards(),
         cfg.effective_threads(),
-        cfg.kernel,
         cfg.population.window_secs,
         git_describe()
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(raw: &[&str]) -> Vec<String> {
+        raw.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn unknown_flags_are_named() {
+        assert_eq!(unknown_flag(&args(&["--threds", "8"])), Some("--threds"));
+        assert_eq!(
+            unknown_flag(&args(&["--threads", "8", "--repeat", "3"])),
+            Some("--repeat")
+        );
+        assert_eq!(
+            unknown_flag(&args(&["--threads", "8", "--check", "--out", "x.json"])),
+            None
+        );
+        // Positional operands and values are not flags.
+        assert_eq!(unknown_flag(&args(&["a.json", "b.json", "--json"])), None);
+    }
 }

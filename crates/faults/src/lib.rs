@@ -3,7 +3,7 @@
 //! The load engine exercises a *perfect* network: links never degrade,
 //! nodes never restart, signaling peers always answer. This crate adds the
 //! missing failure axis without giving up the repo's core invariant —
-//! **bit-identical runs across thread counts and event kernels**.
+//! **bit-identical runs across thread counts**.
 //!
 //! The trick is that faults are not injected by a stochastic process racing
 //! the simulation; they are *compiled ahead of time* into a [`FaultPlan`]:
@@ -12,7 +12,7 @@
 //! The load driver walks the plan exactly like it walks subscriber call
 //! schedules — every injection is an ordinary driver action at a fixed
 //! simulated time, so the event kernel sees the same totally-ordered event
-//! stream regardless of `--threads` or `Kernel::{Heap,Wheel}`.
+//! stream regardless of `--threads`.
 //!
 //! Three fault classes cover the failure modes the paper's deployment
 //! would meet in the field:

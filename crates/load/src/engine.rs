@@ -55,10 +55,9 @@ pub struct LoadConfig {
     /// How long each call's voice is actually sampled; see
     /// [`ShardConfig::voice_sample_ms`].
     pub voice_sample_ms: u64,
-    /// Event kernel every shard network runs on. The timer wheel is the
-    /// default; the binary heap is kept as the differential oracle
-    /// (`harness kernelbench --check`). Fingerprints are identical on
-    /// both, so this is a performance knob, never an experiment knob.
+    /// Event kernel of every shard network. [`Kernel`] has one value,
+    /// the timer wheel, so this field chooses nothing; it stays only
+    /// because callers that copy it into a [`ShardConfig`] still build.
     pub kernel: Kernel,
     /// Deterministic fault-injection schedule. The all-off default
     /// compiles to empty plans, and the run is byte-identical to one

@@ -41,6 +41,7 @@
 
 pub mod capacity;
 pub mod engine;
+pub mod invariance;
 pub mod mailbox;
 pub mod population;
 pub mod report;
@@ -50,6 +51,7 @@ pub mod trunk;
 
 pub use capacity::{capacity_knee, capacity_sweep, CapacityPoint, CapacitySweep, KneeEstimate, KneeSearch};
 pub use engine::{partition, run_load, LoadConfig};
+pub use invariance::{check_thread_invariance, Divergence, INVARIANCE_THREADS};
 pub use mailbox::{
     Envelope, ExpiredKind, Flit, HlrDirectory, Mailbox, RadioGate, TrunkGate, BORDER_CELL,
     EPOCH_MS,

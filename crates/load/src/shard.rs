@@ -117,9 +117,10 @@ pub struct ShardConfig {
     /// the driver mutes both ends (keeps the event count O(calls), not
     /// O(calls x holding time), while still sampling RTP quality).
     pub voice_sample_ms: u64,
-    /// Which event kernel the shard's network runs on. Both kernels
-    /// produce identical fingerprints; the heap survives as the
-    /// differential oracle for the default timer wheel.
+    /// Event kernel of the shard's network. [`Kernel`] has one value,
+    /// the timer wheel, so this field chooses nothing; it stays only
+    /// because callers that copy it from a
+    /// [`LoadConfig`](crate::LoadConfig) still build.
     pub kernel: Kernel,
     /// Deterministic fault schedule for this run; the all-off default
     /// compiles to an empty plan and leaves the shard byte-identical to
@@ -318,14 +319,14 @@ impl Shard {
         let seed =
             SimRng::derive(cfg.master_seed, STREAM_SHARD.wrapping_add(cfg.shard_index as u64))
                 .next_u64();
-        let mut net = Network::with_kernel(seed, cfg.kernel);
+        let mut net = Network::new(seed);
         net.set_trace_details(false);
         net.set_trace_capture(false);
         let mut events: u64 = 0;
 
         // The fault schedule is compiled up front from (config, seed,
         // shard): the driver replays it like any subscriber plan, so
-        // fault timing never depends on threads or kernel choice.
+        // fault timing never depends on the thread count.
         // Recovery guard timers only arm when the plan can actually
         // hurt — an empty plan keeps the event stream identical to a
         // fault-free run.
@@ -626,8 +627,8 @@ impl Shard {
         self.drain_gates();
         // Sample after the epoch fully settles (gates drained) so a
         // frame reflects every event up to its boundary. Epoch ends are
-        // the same simulated instants on every shard, thread count and
-        // kernel, so the series inherits the run's determinism.
+        // the same simulated instants on every shard and thread count,
+        // so the series inherits the run's determinism.
         self.recorder.observe(end_rel_us / 1000, self.net.stats());
         std::mem::take(&mut self.outbox)
     }

@@ -12,7 +12,7 @@
 //! Determinism: shards advance in epoch lockstep (every shard runs
 //! every epoch while any shard is busy), so the stats a shard holds at
 //! a given epoch boundary are a function of the configuration and seed
-//! alone — never of thread count or kernel choice. Sampling happens at
+//! alone — never of the thread count. Sampling happens at
 //! epoch ends, and a frame's `at_ms` is the *nominal* cadence boundary
 //! it covers, so frames from different shards align index-for-index
 //! and merge by simple pairwise addition.
@@ -290,8 +290,7 @@ impl SnapshotRecorder {
     /// busy-hour t0) and samples every cadence boundary passed since
     /// the last call. The frame records the *boundary's* timestamp but
     /// samples the *current* stats — at an epoch end, which is the same
-    /// instant for every shard, so the series is thread- and
-    /// kernel-invariant.
+    /// instant for every shard, so the series is thread-invariant.
     pub fn observe(&mut self, now_ms: u64, stats: &Stats) {
         if self.cadence_ms == 0 {
             return;

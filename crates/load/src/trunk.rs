@@ -15,7 +15,7 @@
 //! `(seed, src, dst, seq, attempt)` — no mutable RNG whose consumption
 //! order could drift — and retransmit deadlines quantize to epoch
 //! boundaries. The same configuration therefore produces bit-identical
-//! delivery streams at every `--threads` on either event kernel.
+//! delivery streams at every `--threads`.
 //!
 //! When the trunk plan is empty the fabric is **disarmed**: `post` and
 //! `take_inbox` reproduce the bare mailbox byte for byte (same delivery

@@ -8,8 +8,7 @@
 //!   accounting,
 //! * [`EModel`] — ITU-T G.107 transmission rating and MOS,
 //! * [`StreamAnalyzer`] — the one instrument every voice experiment
-//!   scores through,
-//! * [`TalkspurtModel`] — Brady on/off conversational activity.
+//!   scores through.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -17,11 +16,9 @@
 mod analyzer;
 mod emodel;
 mod jitter;
-mod talkspurt;
 mod vocoder;
 
 pub use analyzer::{FrameRecord, StreamAnalyzer, VoiceScore};
 pub use emodel::EModel;
 pub use jitter::{JitterBuffer, PlayoutOutcome};
-pub use talkspurt::TalkspurtModel;
 pub use vocoder::Vocoder;

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::context::{Context, Effect};
-use crate::event::{EventKind, EventQueue, Kernel};
+use crate::event::EventKind;
 use crate::interface::Interface;
 use crate::link::{Link, LinkConfig, LinkQuality};
 use crate::node::{Node, NodeId, Payload};
@@ -14,6 +14,7 @@ use crate::stats::Stats;
 use crate::time::{SimDuration, SimTime};
 use crate::timer::TimerTable;
 use crate::trace::Trace;
+use crate::wheel::CalendarWheel;
 
 /// Object-safe shim adding downcast support to every [`Node`].
 ///
@@ -77,7 +78,7 @@ pub struct Network<M: Payload> {
     now: SimTime,
     nodes: Vec<Option<Box<dyn AnyNode<M>>>>,
     links: LinkMap,
-    queue: EventQueue<M>,
+    queue: CalendarWheel<EventKind<M>>,
     rng: SimRng,
     stats: Stats,
     trace: Trace,
@@ -100,22 +101,12 @@ pub struct Network<M: Payload> {
 impl<M: Payload> Network<M> {
     /// Creates an empty network seeded with `seed`. Identical seeds and
     /// identical scenario code produce identical traces.
-    ///
-    /// Runs on the default timer-wheel kernel; see
-    /// [`with_kernel`](Network::with_kernel) to pick explicitly.
     pub fn new(seed: u64) -> Self {
-        Self::with_kernel(seed, Kernel::default())
-    }
-
-    /// Creates an empty network on an explicit event [`Kernel`]. Both
-    /// kernels produce bit-identical schedules; the heap survives as the
-    /// differential oracle the wheel is validated against.
-    pub fn with_kernel(seed: u64, kernel: Kernel) -> Self {
         Network {
             now: SimTime::ZERO,
             nodes: Vec::new(),
             links: LinkMap::default(),
-            queue: EventQueue::new(kernel),
+            queue: CalendarWheel::new(),
             rng: SimRng::new(seed),
             stats: Stats::new(),
             trace: Trace::new(),
@@ -130,11 +121,6 @@ impl<M: Payload> Network<M> {
             k_cancelled: 0,
             k_lost: 0,
         }
-    }
-
-    /// The event kernel this network runs on.
-    pub fn kernel(&self) -> Kernel {
-        self.queue.kernel()
     }
 
     /// Disables per-message `Debug` detail capture in the trace (labels
@@ -318,12 +304,6 @@ impl<M: Payload> Network<M> {
         }
     }
 
-    /// Processes events for `span` of simulated time from the current clock.
-    pub fn run_for(&mut self, span: SimDuration) -> RunOutcome {
-        let deadline = self.now + span;
-        self.run_until(deadline)
-    }
-
     /// Processes a single event. Returns false if the queue is empty.
     pub fn step(&mut self) -> bool {
         self.ensure_started();
@@ -397,8 +377,7 @@ impl<M: Payload> Network<M> {
                     self.dispatch(node, |n, ctx| n.on_timer(ctx, token, tag));
                 } else {
                     // Stale event: the timer was cancelled after this event
-                    // was queued. Counting it here (not at cancel time)
-                    // matches the heap kernel's historical semantics.
+                    // was queued.
                     self.k_cancelled += 1;
                 }
             }
@@ -487,11 +466,6 @@ impl<M: Payload> Network<M> {
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of registered nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Pending (not yet processed) events.
@@ -745,18 +719,16 @@ mod tests {
                 }
             }
         }
-        for kernel in [Kernel::Heap, Kernel::Wheel] {
-            let mut net = Network::with_kernel(0, kernel);
-            let id = net.add_node("late", LateCancel { token: None, fired: 0 });
-            net.run_until_quiescent();
-            assert_eq!(net.node::<LateCancel>(id).unwrap().fired, 2);
-            // Cancelling after the fire must not count as a cancellation…
-            assert_eq!(net.stats().counter("sim.timer_cancelled"), 0);
-            assert_eq!(net.stats().counter("sim.timer_fired"), 2);
-            // …and must leave no residual bookkeeping behind.
-            assert_eq!(net.armed_timers(), 0, "kernel {kernel}");
-            assert_eq!(net.timers.slots(), 2, "kernel {kernel}");
-        }
+        let mut net = Network::new(0);
+        let id = net.add_node("late", LateCancel { token: None, fired: 0 });
+        net.run_until_quiescent();
+        assert_eq!(net.node::<LateCancel>(id).unwrap().fired, 2);
+        // Cancelling after the fire must not count as a cancellation…
+        assert_eq!(net.stats().counter("sim.timer_cancelled"), 0);
+        assert_eq!(net.stats().counter("sim.timer_fired"), 2);
+        // …and must leave no residual bookkeeping behind.
+        assert_eq!(net.armed_timers(), 0);
+        assert_eq!(net.timers.slots(), 2);
     }
 
     #[test]
@@ -792,14 +764,6 @@ mod tests {
             "slot churn must stay bounded, got {}",
             net.timers.slots()
         );
-    }
-
-    #[test]
-    fn both_kernels_available() {
-        let net: Network<Msg> = Network::new(0);
-        assert_eq!(net.kernel(), Kernel::Wheel);
-        let net: Network<Msg> = Network::with_kernel(0, Kernel::Heap);
-        assert_eq!(net.kernel(), Kernel::Heap);
     }
 
     #[test]

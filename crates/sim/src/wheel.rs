@@ -1,4 +1,4 @@
-//! Hierarchical timer wheel (calendar queue) — the default event kernel.
+//! Hierarchical timer wheel (calendar queue) — the event kernel.
 //!
 //! The busy-hour workload is dominated by short-horizon, quantized work:
 //! 20 ms vocoder frames, RTP ticks, GSM supervision timers. A binary heap
@@ -37,9 +37,10 @@
 //! ## Ordering contract
 //!
 //! Pops are strictly ordered by `(time, seq)` where `seq` is a per-wheel
-//! monotone counter assigned at push — identical to the binary-heap kernel,
-//! so simultaneous events drain in FIFO push order. The proof sketch (see
-//! `DESIGN.md` §2.13) rests on two invariants:
+//! monotone counter assigned at push — the order of a binary heap keyed
+//! on `(time, seq)`, which `crates/sim/tests/differential.rs` checks it
+//! against — so simultaneous events drain in FIFO push order. The proof
+//! sketch (see `DESIGN.md` §2.13) rests on two invariants:
 //!
 //! 1. every buffered key whose level-0 slot index is `<= cursor` lives in
 //!    the `batch` (sorted descending; the back is the minimum) or in the

@@ -260,11 +260,6 @@ impl GtpMessage {
             GtpMessage::TPdu { .. } => GtpMsgType::TPdu,
         }
     }
-
-    /// True for encapsulated user-plane traffic.
-    pub fn is_user_plane(&self) -> bool {
-        matches!(self, GtpMessage::TPdu { .. })
-    }
 }
 
 #[cfg(test)]
