@@ -2,18 +2,24 @@
 //!
 //! The population is partitioned into a fixed number of shards — a pure
 //! function of the configuration, never of the machine — and every
-//! shard advances through the busy hour in **epoch lockstep**: a pool
-//! of worker threads pulls shards off a shared counter each epoch, and
-//! an epoch barrier exchanges cross-shard traffic through the
-//! [`Mailbox`](crate::mailbox::Mailbox). Barrier routing iterates
-//! shards in index order and delivery happens at epoch boundaries, so
-//! the interleaving of inter-shard messages — handoff dialogue, trunk
-//! voice, HLR ownership moves — is a function of the configuration and
-//! seed alone. Reports are merged in shard order, which makes the KPI
-//! output bit-identical for any `--threads`.
+//! shard advances through the busy hour in **epoch lockstep**. One crew
+//! of worker threads is spawned per run and serves both set-up and
+//! every epoch: each round the workers pass a start barrier, pull
+//! shards off a shared counter, and pass a done barrier. Between rounds
+//! the calling thread alone exchanges cross-shard traffic through the
+//! [`Mailbox`](crate::mailbox::Mailbox), routing outboxes in shard index
+//! order; delivery happens at epoch boundaries, so the interleaving of
+//! inter-shard messages — handoff dialogue, trunk voice, HLR ownership
+//! moves — is a function of the configuration and seed alone. Reports
+//! are merged in shard order, which makes the KPI output bit-identical
+//! for any `--threads`. One thread runs everything inline, with no
+//! spawn and no barrier. A panic in a worker reaches the caller of
+//! [`run_load`] as a panic and never leaves a barrier waiting.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Barrier, Mutex};
 use std::time::Instant;
 
 use vgprs_faults::{FaultPlanConfig, TrunkPlanConfig};
@@ -143,19 +149,117 @@ pub fn partition(subscribers: usize, shards: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Runs `worker` on a shared work counter across `threads` threads (or
-/// inline when one suffices).
-fn run_pool(threads: usize, worker: impl Fn(usize) + Sync) {
-    if threads <= 1 {
-        worker(0);
-    } else {
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let worker = &worker;
-                scope.spawn(move || worker(t));
+/// What one crew round does: build every shard (phase 1), or carry
+/// every shard through one epoch (phase 2).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Round {
+    Setup,
+    Epoch(u64),
+}
+
+/// The state a worker crew shares for one [`with_crew`] call. The start
+/// barrier orders the calling thread's writes to `round`, `next` and
+/// `stop` before the workers read them, so relaxed atomics suffice.
+struct Crew<J> {
+    job: J,
+    items: usize,
+    round: Mutex<Round>,
+    next: AtomicUsize,
+    stop: AtomicBool,
+    start: Barrier,
+    done: Barrier,
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl<J: Fn(Round, usize) + Sync> Crew<J> {
+    /// A worker thread's life: each round it pulls items off the shared
+    /// counter until none are left, until `stop`. A panic is caught and
+    /// kept (the first one wins) so the worker still reaches the done
+    /// barrier and no other thread waits there forever.
+    fn work(&self) {
+        loop {
+            self.start.wait();
+            if self.stop.load(Ordering::Relaxed) {
+                return;
             }
-        });
+            let round = *self.round.lock().expect("never held across a panic");
+            let result = catch_unwind(AssertUnwindSafe(|| loop {
+                let index = self.next.fetch_add(1, Ordering::Relaxed);
+                if index >= self.items {
+                    break;
+                }
+                (self.job)(round, index);
+            }));
+            if let Err(payload) = result {
+                self.panic
+                    .lock()
+                    .expect("never held across a panic")
+                    .get_or_insert(payload);
+            }
+            self.done.wait();
+        }
     }
+
+    /// Publishes one round, waits until the workers have carried every
+    /// item through it, and re-raises the first panic any of them hit.
+    fn run(&self, round: Round) {
+        *self.round.lock().expect("never held across a panic") = round;
+        self.next.store(0, Ordering::Relaxed);
+        self.start.wait();
+        self.done.wait();
+        if let Some(payload) = self.panic.lock().expect("never held across a panic").take() {
+            resume_unwind(payload);
+        }
+    }
+}
+
+/// Hands `drive` a function that runs one [`Round`] of `job` over
+/// `items` indices, and returns what `drive` returns.
+///
+/// With one thread every round runs inline. Otherwise `threads` worker
+/// threads are spawned once, for the whole call. Each round passes two
+/// barriers: a start wait once the calling thread has published the
+/// round and reset the counter, and a done wait once every index was
+/// taken. Between rounds the workers sleep in the start wait, so
+/// whatever `drive` does between rounds runs alone on the calling
+/// thread. A panic in any worker, or in `drive`, releases the workers
+/// and then propagates to the caller.
+///
+/// The calling thread carries no items itself. glibc serves it from its
+/// main arena, while a new thread takes over an arena an earlier thread
+/// released, memory that thread freed included; a calling thread that
+/// also built and ran shards raised the benchmark's peak RSS by 18–29%
+/// (EXPERIMENTS.md, "Worker pool: spawn per epoch vs one crew").
+fn with_crew<R>(
+    threads: usize,
+    items: usize,
+    job: impl Fn(Round, usize) + Sync,
+    drive: impl FnOnce(&dyn Fn(Round)) -> R,
+) -> R {
+    if threads <= 1 {
+        return drive(&|round| (0..items).for_each(|index| job(round, index)));
+    }
+    let crew = Crew {
+        job,
+        items,
+        round: Mutex::new(Round::Setup),
+        next: AtomicUsize::new(0),
+        stop: AtomicBool::new(false),
+        start: Barrier::new(threads + 1),
+        done: Barrier::new(threads + 1),
+        panic: Mutex::new(None),
+    };
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| crew.work());
+        }
+        let result = catch_unwind(AssertUnwindSafe(|| drive(&|round| crew.run(round))));
+        // Every worker is in its start wait here: a round returns only
+        // after its done wait, and a panic leaves `run` after it too.
+        crew.stop.store(true, Ordering::Relaxed);
+        crew.start.wait();
+        result.unwrap_or_else(|payload| resume_unwind(payload))
+    })
 }
 
 /// A shard plus its barrier-exchange buffers, lockable independently so
@@ -195,82 +299,94 @@ pub fn run_load(cfg: &LoadConfig) -> LoadReport {
 
     let started = Instant::now();
 
-    // Phase 1: build every shard's world and register its population
-    // (parallel; shards are independent until their busy hours start).
+    // One crew of workers serves both phases; each round, workers pull
+    // shards off a shared counter, so any thread can carry any shard.
     let slots: Vec<Mutex<Option<EpochSlot>>> = (0..shards).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    run_pool(threads, |_t| loop {
-        let index = next.fetch_add(1, Ordering::Relaxed);
-        let Some(shard_cfg) = shard_cfgs.get(index) else {
-            break;
-        };
-        let demand = compile_demand(
-            &cfg.scenario,
-            cfg.seed,
-            shard_cfg.shard_index,
-            cfg.population.window_secs,
-        );
-        let plans: Vec<SubscriberPlan> = (0..shard_cfg.subscribers)
-            .map(|i| {
-                subscriber_plan_demand(&cfg.population, &demand, cfg.seed, shard_cfg.base_index + i)
-            })
-            .collect();
-        *slots[index].lock().expect("no panics while holding the lock") = Some(EpochSlot {
-            shard: Shard::new(shard_cfg, &plans),
-            inbox: Vec::new(),
-            outbox: Vec::new(),
-        });
-    });
-
-    // Phase 2: epoch lockstep. Each epoch every busy shard simulates the
-    // same window, then the barrier routes cross-shard flits (sent epoch
-    // k, delivered epoch k+1) and the HLR directory tracks ownership.
-    // The trunk fabric is the barrier's delivery layer: a bare mailbox
-    // when the trunk plan is empty, the reliable sequenced protocol
-    // (retransmits, dedup, in-order release) under trunk chaos.
-    let mut fabric = TrunkFabric::new(shards, cfg.seed, &cfg.trunk, cfg.population.window_secs);
-    let mut directory = HlrDirectory::new(&parts);
-    let mut epoch: u64 = 0;
-    loop {
-        let mut busy = fabric.in_flight() > 0;
-        let mut cap = 0;
-        for (index, slot) in slots.iter().enumerate() {
-            let mut s = slot.lock().expect("no panics while holding the lock");
-            let s = s.as_mut().expect("phase 1 built every shard");
-            s.inbox = fabric.take_inbox(index);
-            busy |= s.shard.is_busy() || !s.inbox.is_empty();
-            cap = cap.max(s.shard.max_epoch_hint());
+    let job = |round: Round, index: usize| match round {
+        Round::Setup => {
+            let shard_cfg = &shard_cfgs[index];
+            let demand = compile_demand(
+                &cfg.scenario,
+                cfg.seed,
+                shard_cfg.shard_index,
+                cfg.population.window_secs,
+            );
+            let plans: Vec<SubscriberPlan> = (0..shard_cfg.subscribers)
+                .map(|i| {
+                    subscriber_plan_demand(
+                        &cfg.population,
+                        &demand,
+                        cfg.seed,
+                        shard_cfg.base_index + i,
+                    )
+                })
+                .collect();
+            *slots[index]
+                .lock()
+                .expect("no panics while holding the lock") = Some(EpochSlot {
+                shard: Shard::new(shard_cfg, &plans),
+                inbox: Vec::new(),
+                outbox: Vec::new(),
+            });
         }
-        if !busy || epoch > cap {
-            // Done — or the runaway backstop tripped, in which case the
-            // shards still busy count `load.drain_capped` on finish.
-            break;
-        }
-        let next = AtomicUsize::new(0);
-        run_pool(threads, |_t| loop {
-            let index = next.fetch_add(1, Ordering::Relaxed);
-            let Some(slot) = slots.get(index) else {
-                break;
-            };
-            let mut s = slot.lock().expect("no panics while holding the lock");
+        Round::Epoch(epoch) => {
+            let mut s = slots[index]
+                .lock()
+                .expect("no panics while holding the lock");
             let s = s.as_mut().expect("phase 1 built every shard");
             let inbox = std::mem::take(&mut s.inbox);
             s.outbox = s.shard.run_epoch(epoch, inbox);
-        });
-        // Barrier: route in shard order so delivery order never depends
-        // on which thread finished first. Disarmed, the fabric observes
-        // the HLR directory at post time (the historical behavior);
-        // armed, ownership is observed at *delivery*, when an
-        // Arrive/Depart actually survives the trunk.
-        for (index, slot) in slots.iter().enumerate() {
-            let mut s = slot.lock().expect("no panics while holding the lock");
-            let s = s.as_mut().expect("phase 1 built every shard");
-            let outbox = std::mem::take(&mut s.outbox);
-            fabric.post(index, outbox, &mut directory);
         }
-        fabric.seal((epoch + 1) * EPOCH_MS, &mut directory);
-        epoch += 1;
-    }
+    };
+    let (fabric, directory) = with_crew(threads, shards, job, |run| {
+        // Phase 1: build every shard's world and register its population
+        // (parallel; shards are independent until their busy hours start).
+        run(Round::Setup);
+
+        // Phase 2: epoch lockstep. Each epoch every busy shard simulates
+        // the same window, then the barrier routes cross-shard flits
+        // (sent epoch k, delivered epoch k+1) and the HLR directory
+        // tracks ownership. The trunk fabric is the barrier's delivery
+        // layer: a bare mailbox when the trunk plan is empty, the
+        // reliable sequenced protocol (retransmits, dedup, in-order
+        // release) under trunk chaos.
+        let mut fabric = TrunkFabric::new(shards, cfg.seed, &cfg.trunk, cfg.population.window_secs);
+        let mut directory = HlrDirectory::new(&parts);
+        let mut epoch: u64 = 0;
+        loop {
+            let mut busy = fabric.in_flight() > 0;
+            let mut cap = 0;
+            for (index, slot) in slots.iter().enumerate() {
+                let mut s = slot.lock().expect("no panics while holding the lock");
+                let s = s.as_mut().expect("phase 1 built every shard");
+                s.inbox = fabric.take_inbox(index);
+                busy |= s.shard.is_busy() || !s.inbox.is_empty();
+                cap = cap.max(s.shard.max_epoch_hint());
+            }
+            if !busy || epoch > cap {
+                // Done — or the runaway backstop tripped, in which case
+                // the shards still busy count `load.drain_capped` on
+                // finish.
+                break;
+            }
+            run(Round::Epoch(epoch));
+            // Barrier: route in shard order so delivery order never
+            // depends on which thread finished first. Disarmed, the
+            // fabric observes the HLR directory at post time (the
+            // historical behavior); armed, ownership is observed at
+            // *delivery*, when an Arrive/Depart actually survives the
+            // trunk.
+            for (index, slot) in slots.iter().enumerate() {
+                let mut s = slot.lock().expect("no panics while holding the lock");
+                let s = s.as_mut().expect("phase 1 built every shard");
+                let outbox = std::mem::take(&mut s.outbox);
+                fabric.post(index, outbox, &mut directory);
+            }
+            fabric.seal((epoch + 1) * EPOCH_MS, &mut directory);
+            epoch += 1;
+        }
+        (fabric, directory)
+    });
     let wall = started.elapsed();
 
     // Phase 3: seal shards in index order and merge.
@@ -299,6 +415,7 @@ pub fn run_load(cfg: &LoadConfig) -> LoadReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn partition_covers_everything_contiguously() {
@@ -315,6 +432,89 @@ mod tests {
             let min = sizes.iter().min().unwrap();
             let max = sizes.iter().max().unwrap();
             assert!(max - min <= 1, "near-equal slices: {sizes:?}");
+        }
+    }
+
+    /// Runs `f` on a watchdog thread and returns its panic message, so a
+    /// deadlocked barrier fails the test instead of hanging it.
+    fn panic_message_within_a_minute(what: String, f: impl FnOnce() + Send + 'static) -> String {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let watched = std::thread::spawn(move || {
+            let message = match catch_unwind(AssertUnwindSafe(f)) {
+                Ok(()) => "no panic".to_owned(),
+                Err(payload) => payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
+                    .unwrap_or_default(),
+            };
+            tx.send(message).expect("the test is waiting");
+        });
+        let message = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{what} deadlocked"));
+        watched.join().expect("the panic was caught");
+        message
+    }
+
+    #[test]
+    fn crew_propagates_a_worker_panic_without_deadlock() {
+        for threads in [1, 2, 8] {
+            for panic_round in [Round::Setup, Round::Epoch(2)] {
+                let epochs = Arc::new(AtomicUsize::new(0));
+                let started = Arc::clone(&epochs);
+                let message = panic_message_within_a_minute(
+                    format!("a crew of {threads} panicking in {panic_round:?}"),
+                    move || {
+                        let job = |round: Round, index: usize| {
+                            if round == panic_round && index == 3 {
+                                panic!("shard 3 failed in {round:?}");
+                            }
+                        };
+                        with_crew(threads, 5, job, |run| {
+                            run(Round::Setup);
+                            for epoch in 0..4 {
+                                started.fetch_add(1, Ordering::Relaxed);
+                                run(Round::Epoch(epoch));
+                            }
+                        });
+                    },
+                );
+                assert_eq!(
+                    message,
+                    format!("shard 3 failed in {panic_round:?}"),
+                    "threads {threads}"
+                );
+                let expected_epochs = match panic_round {
+                    Round::Setup => 0,
+                    Round::Epoch(k) => k as usize + 1,
+                };
+                assert_eq!(
+                    epochs.load(Ordering::Relaxed),
+                    expected_epochs,
+                    "the panic ends the run"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn crew_propagates_a_panic_between_rounds() {
+        for threads in [1, 2, 8] {
+            let message =
+                panic_message_within_a_minute(format!("a crew of {threads}"), move || {
+                    with_crew(
+                        threads,
+                        5,
+                        |_, _| {},
+                        |run| {
+                            run(Round::Setup);
+                            run(Round::Epoch(0));
+                            panic!("routing failed");
+                        },
+                    );
+                });
+            assert_eq!(message, "routing failed", "threads {threads}");
         }
     }
 

@@ -15,11 +15,11 @@
 //! - [`shard`] + [`engine`] + [`mailbox`] — the population is split
 //!   across vGPRS serving-area pairs (built with
 //!   `vgprs_core::VgprsZone`), one `vgprs_sim::Network` per shard,
-//!   advanced in **epoch lockstep** by a thread pool. Shards exchange
-//!   traffic — inter-VMSC handoff dialogue, trunk voice, idle-mode HLR
-//!   ownership moves — through a sequenced inter-shard mailbox whose
-//!   delivery order depends only on the configuration and seed, so a
-//!   run is **bit-identical regardless of thread count**.
+//!   advanced in **epoch lockstep** by one worker crew per run. Shards
+//!   exchange traffic — inter-VMSC handoff dialogue, trunk voice,
+//!   idle-mode HLR ownership moves — through a sequenced inter-shard
+//!   mailbox whose delivery order depends only on the configuration and
+//!   seed, so a run is **bit-identical regardless of thread count**.
 //! - [`report`] — streaming KPIs merged from the shards' O(buckets)
 //!   histograms: call-setup delay, paging latency, voice-PDP activation
 //!   time, blocking/reject rates, RTP frame delay/loss scored through

@@ -263,6 +263,18 @@ fn global_of(imsi: &Imsi) -> Option<usize> {
     imsi.digits().get(6..)?.parse().ok()
 }
 
+/// The drop counter for a call that failed while `class` overlapped it
+/// (`baseline` when no fault did), interned so the probe path builds no
+/// string.
+fn dropped_key(class: Option<FaultClass>) -> &'static str {
+    match class {
+        None => "load.dropped_baseline",
+        Some(FaultClass::LinkDegrade) => "load.dropped_link_degrade",
+        Some(FaultClass::NodeCrash) => "load.dropped_node_crash",
+        Some(FaultClass::Blackhole) => "load.dropped_blackhole",
+    }
+}
+
 /// One shard mid-flight: built world, pending actions, cross-shard
 /// bookkeeping. Drive it with [`Shard::run_epoch`] until
 /// [`Shard::is_busy`] clears, then [`Shard::finish`].
@@ -780,8 +792,12 @@ impl Shard {
             // steady state so blocking can be reported for each regime.
             // Counted here, past the away/busy skips, so the regime
             // denominators cover exactly the calls the drop probe sees.
-            let regime = if self.demand.in_peak(at_us / 1000) { "peak" } else { "steady" };
-            self.net.stats_mut().count(&format!("load.attempts_{regime}"));
+            let key = if self.demand.in_peak(at_us / 1000) {
+                "load.attempts_peak"
+            } else {
+                "load.attempts_steady"
+            };
+            self.net.stats_mut().count(key);
         }
         let call = CallId((self.cfg.base_index as u64) << 32 | self.next_call);
         self.next_call += 1;
@@ -871,11 +887,14 @@ impl Shard {
         let class = FaultClass::ALL
             .into_iter()
             .find(|&c| self.plan.overlaps(c, dialed_ms, now_ms));
-        let key = class.map_or("baseline", FaultClass::key);
-        self.net.stats_mut().count(&format!("load.dropped_{key}"));
+        self.net.stats_mut().count(dropped_key(class));
         if !self.demand.is_flat() {
-            let regime = if self.demand.in_peak(dialed_ms) { "peak" } else { "steady" };
-            self.net.stats_mut().count(&format!("load.dropped_{regime}"));
+            let key = if self.demand.in_peak(dialed_ms) {
+                "load.dropped_peak"
+            } else {
+                "load.dropped_steady"
+            };
+            self.net.stats_mut().count(key);
         }
         // Free both parties and invalidate the dead call's remaining
         // scheduled actions.
@@ -1607,4 +1626,17 @@ pub fn run_shard(cfg: &ShardConfig, plans: &[SubscriberPlan]) -> ShardReport {
         epoch += 1;
     }
     shard.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn dropped_keys_match_the_fault_class_keys() {
+        assert_eq!(dropped_key(None), "load.dropped_baseline");
+        for class in FaultClass::ALL {
+            assert_eq!(dropped_key(Some(class)), format!("load.dropped_{}", class.key()));
+        }
+    }
 }

@@ -140,6 +140,22 @@ fn cross_shard_results_are_thread_invariant() {
     }
 }
 
+/// The worker crew's edges. With 3 shards, threads {1, 2, 8} clamp to
+/// {1, 2, 3}, so the 8-thread run has exactly one worker per shard; with
+/// 1 shard every thread count runs inline. Both stay bit-identical.
+#[test]
+fn thread_counts_at_the_crew_edges_are_invariant() {
+    for (what, cfg, workers_at_8) in [
+        ("3-shard cross-shard", cross_cfg(1, 3), 3),
+        ("1-shard", LoadConfig { shards: 1, ..small_cfg(1) }, 1),
+    ] {
+        let at_8 = LoadConfig { threads: 8, ..cfg.clone() };
+        assert_eq!(at_8.effective_threads(), workers_at_8, "{what}");
+        let r = thread_invariant(what, &cfg);
+        assert!(r.attempts() > 0, "{what}: no call attempts generated");
+    }
+}
+
 /// The cross-shard machinery must actually fire: the run above is only
 /// meaningful if the mailbox carried real handoffs and HLR moves.
 #[test]
